@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test fmt goldens bench bench-json bench-file test-backends test-disks test-async test-async-stress faults serve-smoke telemetry-smoke soak cluster clean
+.PHONY: all build test fmt goldens bench bench-json bench-file perf perf-trace perf-smoke test-backends test-disks test-async test-async-stress faults serve-smoke telemetry-smoke soak cluster clean
 
 all: build
 
@@ -41,6 +41,27 @@ bench-json:
 bench-file:
 	EM_BACKEND=file dune exec bench/main.exe -- --small --json \
 	  --check-ratios test/golden/ratios.expected
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): every
+# workload over seeds 1-10, each end-to-end metric's median and quartile
+# spread.  perf-trace prints the per-layer view instead, over seeds 1-2.
+perf:
+	python3 perfbench/spread.py
+
+perf-trace:
+	python3 perfbench/spread.py --trace 1 --seeds 1-2
+
+# One-second run of every benchmark workload; fails unless each run exits 0
+# and its last line reports a correct result with no failed request.
+perf-smoke:
+	@for w in batch-paper sort-file serve-durable cluster-partition; do \
+	  dune exec --no-print-directory ./perfbench/perfbench.exe -- \
+	    --workload $$w --seed 1 --seconds 1 --trace 0 > _build/perf-smoke.out \
+	  && tail -n 1 _build/perf-smoke.out | python3 -c \
+	    'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
+	  || { echo "perf-smoke: $$w did not finish correct with 0 failed"; exit 1; }; \
+	done
+	@echo "perf-smoke: every workload correct, none failed."
 
 # Tier-1 suite re-run on multi-disk machines (the disks matrix).  Work must
 # be D-invariant — identical outputs, I/Os and comparisons — so every gate,

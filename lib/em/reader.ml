@@ -3,8 +3,15 @@ type 'a t = {
   prefetch : int;  (* max extra blocks read ahead of the cursor *)
   mutable pos : int;  (* absolute index of the next element to deliver *)
   bufs : (int * 'a array) Queue.t;  (* (block_index, payload), consecutive *)
+  mutable back : (int * 'a array) option;  (* last entry pushed onto [bufs] *)
   mutable extra : int;  (* block buffers charged beyond the base B words *)
   mutable closed : bool;
+  (* The payload holding [pos] and the absolute index of its first element,
+     so [peek]/[next] index it directly; any cursor outside it (including
+     every cursor of a closed reader, whose [cur] is empty) takes the slow
+     path through [ensure_loaded]. *)
+  mutable cur : 'a array;
+  mutable cur_base : int;
 }
 
 let buffer_words r = Ctx.block_size (Vec.ctx r.vec)
@@ -13,11 +20,20 @@ let open_vec ?(prefetch = 0) vec =
   if prefetch < 0 then invalid_arg "Reader.open_vec: negative prefetch";
   let ctx = Vec.ctx vec in
   Mem.charge ctx.Ctx.params ctx.Ctx.stats (Ctx.block_size ctx);
-  { vec; prefetch; pos = 0; bufs = Queue.create (); extra = 0; closed = false }
+  { vec; prefetch; pos = 0; bufs = Queue.create (); back = None; extra = 0; closed = false;
+    cur = [||]; cur_base = 0 }
 
 let check_open r = if r.closed then invalid_arg "Reader: already closed"
 let has_next r = (not r.closed) && r.pos < Vec.length r.vec
 let remaining r = max 0 (Vec.length r.vec - r.pos)
+
+let push r entry =
+  Queue.push entry r.bufs;
+  r.back <- Some entry
+
+(* The back entry, in O(1): the queue is FIFO, so while it is non-empty the
+   last entry pushed is still in it. *)
+let queue_back r = if Queue.is_empty r.bufs then None else r.back
 
 (* Drop (and un-charge) buffers the cursor has fully consumed.  The front
    buffer runs on the base B-word charge; only read-ahead buffers beyond it
@@ -51,8 +67,7 @@ let refill r =
   let ctx = Vec.ctx r.vec in
   let b = Ctx.block_size ctx in
   let bi = r.pos / b in
-  let ids = Vec.block_ids r.vec in
-  let want = min (1 + r.prefetch) (Array.length ids - bi) in
+  let want = min (1 + r.prefetch) (Vec.num_blocks r.vec - bi) in
   let extra = ref 0 in
   (try
      while !extra < want - 1 do
@@ -66,10 +81,10 @@ let refill r =
      worker domains now and the metered reads below consume the staged
      bytes; on a sync backend this is a no-op.  Counted I/Os, their order,
      and the window shape are identical either way. *)
-  Device.prefetch ctx.Ctx.dev (Array.sub ids bi batch);
+  Device.prefetch ctx.Ctx.dev (Array.init batch (fun i -> Vec.block_id r.vec (bi + i)));
   let read_all () =
     for i = 0 to batch - 1 do
-      Queue.push (bi + i, Resilient.read ctx.Ctx.dev ids.(bi + i)) r.bufs
+      push r (bi + i, Resilient.read ctx.Ctx.dev (Vec.block_id r.vec (bi + i)))
     done
   in
   if batch > 1 then Stats.with_window ctx.Ctx.stats read_all else read_all ()
@@ -89,8 +104,6 @@ let ensure_loaded r =
    precedes every other run's last element).  These accessors expose just
    enough state for that classical forecasting rule without giving callers
    the buffers themselves. *)
-
-let queue_back r = Queue.fold (fun _ buf -> Some buf) None r.bufs
 
 (* Unconsumed read-ahead depth, in blocks.  A comparison-free proxy for the
    forecasting need-order: under roughly uniform consumption the run with the
@@ -120,14 +133,14 @@ let next_unread_block r =
       | Some (bi, _) -> bi + 1
       | None -> r.pos / buffer_words r
     in
-    if next >= Array.length (Vec.block_ids r.vec) then None else Some next
+    if next >= Vec.num_blocks r.vec then None else Some next
   end
 
 let next_disk r =
   Option.map
     (fun bi ->
       let ctx = Vec.ctx r.vec in
-      Device.disk_of_block ctx.Ctx.dev (Vec.block_ids r.vec).(bi))
+      Device.disk_of_block ctx.Ctx.dev (Vec.block_id r.vec bi))
     (next_unread_block r)
 
 let pending_io r =
@@ -159,14 +172,20 @@ let prefetch_next r =
       in
       charged
       && begin
-           Queue.push (bi, Resilient.read ctx.Ctx.dev (Vec.block_ids r.vec).(bi)) r.bufs;
+           push r (bi, Resilient.read ctx.Ctx.dev (Vec.block_id r.vec bi));
            true
          end
 
 let peek r =
-  ensure_loaded r;
-  let bi, payload = Queue.peek r.bufs in
-  payload.(r.pos - (bi * buffer_words r))
+  let i = r.pos - r.cur_base in
+  if i >= 0 && i < Array.length r.cur then r.cur.(i)
+  else begin
+    ensure_loaded r;
+    let bi, payload = Queue.peek r.bufs in
+    r.cur <- payload;
+    r.cur_base <- bi * buffer_words r;
+    payload.(r.pos - r.cur_base)
+  end
 
 let next r =
   let e = peek r in
@@ -210,8 +229,7 @@ let take r n =
     done;
     if !filled < count then begin
       (* Queue empty means the cursor sits on a block boundary. *)
-      let ids = Vec.block_ids r.vec in
-      let nblocks = Array.length ids in
+      let nblocks = Vec.num_blocks r.vec in
       let veclen = Vec.length r.vec in
       let d = ctx.Ctx.params.Params.disks in
       let covered bi =
@@ -224,7 +242,8 @@ let take r n =
       let first_bi = r.pos / b in
       let last_bi = min (nblocks - 1) ((r.pos + (count - !filled) - 1) / b) in
       if last_bi >= first_bi then
-        Device.prefetch ctx.Ctx.dev (Array.sub ids first_bi (last_bi - first_bi + 1));
+        Device.prefetch ctx.Ctx.dev
+          (Array.init (last_bi - first_bi + 1) (fun k -> Vec.block_id r.vec (first_bi + k)));
       while !filled < count && covered (r.pos / b) do
         let first = r.pos / b in
         let group = ref 1 in
@@ -234,7 +253,7 @@ let take r n =
         let g = !group in
         let read_group () =
           for k = 0 to g - 1 do
-            let payload = Resilient.read ctx.Ctx.dev ids.(first + k) in
+            let payload = Resilient.read ctx.Ctx.dev (Vec.block_id r.vec (first + k)) in
             blit_payload payload 0 (Array.length payload)
           done
         in
@@ -244,8 +263,8 @@ let take r n =
          stays the reader's current block for subsequent reads). *)
       if !filled < count then begin
         let bi = r.pos / b in
-        let payload = Resilient.read ctx.Ctx.dev ids.(bi) in
-        Queue.push (bi, payload) r.bufs;
+        let payload = Resilient.read ctx.Ctx.dev (Vec.block_id r.vec bi) in
+        push r (bi, payload);
         blit_payload payload (r.pos - (bi * b)) (count - !filled)
       end
     end;
@@ -258,6 +277,7 @@ let close r =
     Mem.release ctx.Ctx.params ctx.Ctx.stats ((1 + r.extra) * buffer_words r);
     r.extra <- 0;
     Queue.clear r.bufs;
+    r.cur <- [||];
     r.closed <- true
   end
 

@@ -3,6 +3,7 @@ type 'a t = { ctx : 'a Ctx.t; blocks : int array; len : int }
 let ctx v = v.ctx
 let length v = v.len
 let num_blocks v = Array.length v.blocks
+let block_id v i = v.blocks.(i)
 let block_ids v = Array.copy v.blocks
 let empty ctx = { ctx; blocks = [||]; len = 0 }
 

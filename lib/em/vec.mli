@@ -13,7 +13,17 @@ type 'a t
 val ctx : 'a t -> 'a Ctx.t
 val length : 'a t -> int
 val num_blocks : 'a t -> int
+
+val block_id : 'a t -> int -> int
+(** [block_id v i] is the device id of the [i]-th block of [v], in O(1).
+    Per-block code walks a vector with this and {!num_blocks}.
+    @raise Invalid_argument when [i] is out of bounds. *)
+
 val block_ids : 'a t -> int array
+(** A fresh copy of the whole block-id table: O(num_blocks) time, and above
+    256 blocks the copy is allocated straight on the major heap.  Meant for
+    one-off callers that hand the table on (e.g. to carve a sub-vector);
+    never call it once per block. *)
 
 val empty : 'a Ctx.t -> 'a t
 

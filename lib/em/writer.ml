@@ -1,7 +1,7 @@
 type 'a t = {
   ctx : 'a Ctx.t;
   write_behind : int;  (* filled blocks that may wait before a batched drain *)
-  mutable buffer : 'a option array;  (* staged elements of the current block *)
+  mutable buffer : 'a array;  (* staged block, made at the first push *)
   mutable fill : int;
   mutable blocks : int list;  (* allocated block ids, newest first *)
   queue : (int * 'a array) Queue.t;  (* allocated, filled, not yet written *)
@@ -35,7 +35,7 @@ let create ?(write_behind = 0) ctx =
     {
       ctx;
       write_behind;
-      buffer = Array.make b None;
+      buffer = [||];
       fill = 0;
       blocks = [];
       queue = Queue.create ();
@@ -81,20 +81,15 @@ let hand_off w payload =
 
 let flush w =
   if w.fill > 0 then begin
-    let payload =
-      Array.init w.fill (fun i ->
-          match w.buffer.(i) with
-          | Some e -> e
-          | None -> assert false)
-    in
-    hand_off w payload;
+    hand_off w (Array.sub w.buffer 0 w.fill);
     w.written <- w.written + w.fill;
     w.fill <- 0
   end
 
 let push w e =
   check_open w;
-  w.buffer.(w.fill) <- Some e;
+  if Array.length w.buffer = 0 then w.buffer <- Array.make (Ctx.block_size w.ctx) e;
+  w.buffer.(w.fill) <- e;
   w.fill <- w.fill + 1;
   if w.fill = Array.length w.buffer then flush w
 

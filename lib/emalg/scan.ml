@@ -121,7 +121,7 @@ let array_of_vec_io v =
           let out = ref [||] in
           let read_block bi =
             let payload = Em.Resilient.read dev ids.(bi) in
-            if !out = [||] && Array.length payload > 0 then
+            if Array.length !out = 0 && Array.length payload > 0 then
               out := Array.make n payload.(0);
             Array.blit payload 0 !out (bi * b) (Array.length payload)
           in

@@ -234,6 +234,41 @@ let test_writer_roundtrip () =
   Tu.check_int_array "contents" (Array.init 20 (fun i -> i * 2)) (Em.Vec.Oracle.to_array v);
   Tu.check_no_leaks ~live:3 ctx
 
+(* Streaming costs O(1) wall work per element: nothing a scan allocates per
+   block may grow with the vector (a per-refill copy of the block-id table
+   did), so a long scan allocates no more words per element than a short
+   one.  [Scan.iter] exercises the reader, [Scan.copy] the writer as well. *)
+let words_per_element f n =
+  let ctx : int Em.Ctx.t =
+    Em.Ctx.create ~backend:Em.Backend.Sim (Tu.params ~mem:4096 ~block:64 ())
+  in
+  let v = Tu.int_vec ctx (Array.init n Fun.id) in
+  (* The minor-heap count advances only at minor collections: flush first. *)
+  let allocated () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = allocated () in
+  f v;
+  let words = allocated () -. before in
+  Em.Ctx.close ctx;
+  words /. float_of_int n
+
+let test_streaming_alloc_per_element () =
+  let check name f =
+    match List.map (words_per_element f) [ 1 lsl 14; 1 lsl 16; 1 lsl 18 ] with
+    | [ small; mid; large ] ->
+        if large > small then
+          Alcotest.failf "%s: %.1f / %.1f / %.1f words per element at N = 2^14 / 2^16 / 2^18"
+            name small mid large
+    | _ -> assert false
+  in
+  check "Scan.iter" (fun v ->
+      let sum = ref 0 in
+      Emalg.Scan.iter (fun x -> sum := !sum + x) v);
+  check "Scan.copy" (fun v -> ignore (Emalg.Scan.copy v : int Em.Vec.t))
+
 let test_writer_empty () =
   let ctx = Tu.ctx () in
   let v = Em.Writer.with_writer ctx (fun _ -> ()) in
@@ -313,6 +348,8 @@ let suite =
     Alcotest.test_case "writer: roundtrip + I/O count" `Quick test_writer_roundtrip;
     Alcotest.test_case "writer: empty" `Quick test_writer_empty;
     Alcotest.test_case "writer: abandon frees blocks" `Quick test_writer_abandon_frees;
+    Alcotest.test_case "stream: words per element do not grow with N" `Quick
+      test_streaming_alloc_per_element;
     Alcotest.test_case "stats: snapshot deltas" `Quick test_stats_snapshot;
     Alcotest.test_case "ctx: counted comparator" `Quick test_counted_comparator;
     Alcotest.test_case "ctx: linked shares meters" `Quick test_linked_ctx_shares_meters;

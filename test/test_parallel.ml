@@ -176,6 +176,82 @@ let prop_reader_pipeline =
           && drainedk = 0)
         fault_plans)
 
+(* The forecasting accessors interleaved with the element ops, as a
+   merge-style consumer drives them: whatever it asks and whenever it pulls
+   a block forward, the reader delivers the vector in order, reads each
+   block exactly once, hands back every word it charged, and refuses
+   element access once closed (at the end or mid-block).  [buffered_blocks],
+   [last_buffered] and [next_disk] must agree with the cursor position they
+   imply. *)
+let prop_reader_forecasting_mix =
+  Tu.qcheck_case ~count:40
+    "reader: forecasting accessors interleaved with peek/next/take (D = 1, 4)"
+    QCheck2.Gen.(
+      quad (int_range 0 6) (int_range 1 600) (int_range 0 999) (int_range 0 999))
+    (fun (prefetch, n, seed, script) ->
+      List.for_all
+        (fun disks ->
+          let ctx : int Em.Ctx.t = Em.Ctx.create ~disks (Tu.params ()) in
+          let stats = ctx.Em.Ctx.stats in
+          let b = Em.Ctx.block_size ctx in
+          let v = Tu.int_vec ctx (Tu.random_ints ~seed ~bound:1_000_000 n) in
+          let expected = Em.Vec.Oracle.to_array v in
+          let mem0 = stats.Em.Stats.mem_in_use and reads0 = stats.Em.Stats.reads in
+          let r = Em.Reader.open_vec ~prefetch v in
+          let rng = Tu.rng script in
+          let out = ref [] and sane = ref true in
+          let expect ok = sane := !sane && ok in
+          while Em.Reader.has_next r do
+            match Tu.next_int rng 7 with
+            | 0 -> out := Em.Reader.take r (1 + Tu.next_int rng 40) :: !out
+            | 1 ->
+                let e = Em.Reader.peek r in
+                let e' = Em.Reader.next r in
+                expect (e = e');
+                out := [| e' |] :: !out
+            | 2 -> ignore (Em.Reader.prefetch_next r : bool)
+            | 3 -> (
+                let cursor = (n - Em.Reader.remaining r) / b in
+                let k = Em.Reader.buffered_blocks r in
+                match Em.Reader.last_buffered r with
+                | None -> expect (k = 0)
+                | Some x -> expect (k > 0 && x = expected.(min n ((cursor + k) * b) - 1)))
+            | 4 -> (
+                let next_bi =
+                  ((n - Em.Reader.remaining r) / b) + Em.Reader.buffered_blocks r
+                in
+                match Em.Reader.next_disk r with
+                | None -> expect (next_bi >= Em.Vec.num_blocks v)
+                | Some d ->
+                    expect
+                      (next_bi < Em.Vec.num_blocks v
+                      && d = Em.Device.disk_of_block ctx.Em.Ctx.dev (Em.Vec.block_id v next_bi)))
+            | _ -> out := [| Em.Reader.next r |] :: !out
+          done;
+          let reads = stats.Em.Stats.reads - reads0 in
+          Em.Reader.close r;
+          (* A reader closed mid-block still holds no usable block. *)
+          let mid = Em.Reader.open_vec ~prefetch v in
+          ignore (Em.Reader.peek mid : int);
+          Em.Reader.close mid;
+          let refused f r =
+            match f r with
+            | (_ : int) -> false
+            | exception Invalid_argument _ -> true
+          in
+          let ok =
+            !sane
+            && Array.concat (List.rev !out) = expected
+            && reads = Em.Vec.num_blocks v
+            && stats.Em.Stats.mem_in_use = mem0
+            && List.for_all
+                 (fun r -> refused Em.Reader.peek r && refused Em.Reader.next r)
+                 [ r; mid ]
+          in
+          Em.Ctx.close ctx;
+          ok)
+        [ 1; 4 ])
+
 (* ---- (c) write-behind writers produce the unbuffered writes ---- *)
 
 let prop_writer_pipeline =
@@ -377,4 +453,5 @@ let suite =
       test_writer_reclaims_under_pressure;
     Alcotest.test_case "merge stability across D" `Quick
       test_merge_stability_across_disks;
+    prop_reader_forecasting_mix;
   ]
