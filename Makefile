@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test fmt goldens bench bench-json bench-file perf perf-trace perf-smoke test-backends test-disks test-async test-async-stress faults serve-smoke telemetry-smoke soak cluster clean
+.PHONY: all build test fmt goldens bench bench-json bench-file perf perf-trace perf-smoke test-backends test-disks test-shards test-async test-async-stress faults serve-smoke telemetry-smoke soak cluster clean
 
 all: build
 
@@ -69,6 +69,14 @@ perf-smoke:
 test-disks:
 	EM_DISKS=4 dune runtest --force
 	EM_DISKS=8 dune runtest --force
+
+# Tier-1 suite re-run with every default-sized cluster sharded (the shards
+# matrix).  Outputs are P-invariant, and the shard-local supersteps run on
+# domains with their traces replayed in shard order, so every gate passes
+# unchanged.
+test-shards:
+	EM_SHARDS=4 dune runtest --force
+	EM_SHARDS=8 dune runtest --force
 
 # Tier-1 suite re-run on each non-default backend (the backend matrix).
 test-backends:

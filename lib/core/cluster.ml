@@ -32,6 +32,7 @@ type 'a t = {
   shards : 'a Em.Ctx.t array;
   comm : Em.Stats.t;
   trace : Em.Trace.t;
+  mutable workers : int option;  (* forced worker count; None = the runtime's *)
 }
 
 let create ?trace ?backend ?backend_dir ?pool_pages ?disks ?shards params =
@@ -48,7 +49,7 @@ let create ?trace ?backend ?backend_dir ?pool_pages ?disks ?shards params =
       Em.Ctx.create ~trace ?backend ?backend_dir ?pool_pages ?disks ~shard:i
         params
   in
-  { params; shards = Array.init p shard; comm = Em.Stats.create (); trace }
+  { params; shards = Array.init p shard; comm = Em.Stats.create (); trace; workers = None }
 
 let size t = Array.length t.shards
 let ctx t i = t.shards.(i)
@@ -65,6 +66,102 @@ let totals t =
     (0, 0, 0) t.shards
 
 let superstep t f = Em.Stats.with_comm_round t.comm f
+
+(* {2 Shard-local supersteps on domains}
+
+   [each_shard t f] runs [f i] for every shard [i] and returns the results
+   in shard order.  The tasks run on up to [min P (recommended domains)]
+   domains: the caller's plus spawned workers.  All of them claim shard
+   indices from one atomic word holding the unclaimed range — the caller
+   from its front, the workers from its back.  Every shard below the
+   caller's next claim is one the caller already ran, so its tasks emit to
+   the tracer directly; worker tasks stage their events
+   ({!Em.Trace.staged}), and the caller replays them in shard order once
+   the workers are joined.  The trace is therefore exactly the sequential
+   one.
+
+   If task [i] raises, no task past [i] is started any more; tasks before
+   [i] finish.  Once every worker is joined, the trace gets shards
+   [0..i-1] in full plus shard [i]'s events up to the raise, and the
+   exception re-raises.  Later shards' events are dropped; their stats are
+   whatever their partial runs left.
+
+   Span hooks and fault plans are shared mutable state whose call order
+   defines their output, so a cluster with either attached — or with a
+   single shard — runs its tasks inline, one after the other. *)
+
+let inline_only t =
+  size t = 1
+  || Array.exists
+       (fun cx ->
+         Em.Stats.hooks cx.Em.Ctx.stats <> None
+         || Em.Device.injector cx.Em.Ctx.dev <> None)
+       t.shards
+
+let worker_count t =
+  if inline_only t then 1
+  else
+    let w =
+      match t.workers with
+      | Some w -> w
+      | None -> Domain.recommended_domain_count ()
+    in
+    max 1 (min (size t) w)
+
+let run_on_domains ~workers p f =
+  let results = Array.make p None in
+  let stages = Array.init p (fun _ -> Em.Trace.create_stage ()) in
+  (* The unclaimed range [lo, hi) packed as [lo + hi lsl 31]; [limit] drops
+     to the lowest failed index. *)
+  let range = Atomic.make (p lsl 31) and limit = Atomic.make p in
+  let rec claim ~front =
+    let r = Atomic.get range in
+    let lo = r land ((1 lsl 31) - 1) and hi = min (r lsr 31) (Atomic.get limit) in
+    if lo >= hi then None
+    else
+      let i, r' = if front then (lo, r + 1) else (hi - 1, lo + ((hi - 1) lsl 31)) in
+      if Atomic.compare_and_set range r r' then Some i else claim ~front
+  in
+  let rec lower i =
+    let l = Atomic.get limit in
+    if i < l && not (Atomic.compare_and_set limit l i) then lower i
+  in
+  let rec run ~front =
+    match claim ~front with
+    | None -> ()
+    | Some i ->
+        let task () = f i in
+        (results.(i) <-
+           match if front then task () else Em.Trace.staged stages.(i) task with
+           | v -> Some (Ok v)
+           | exception e ->
+               let bt = Printexc.get_raw_backtrace () in
+               lower i;
+               Some (Error (e, bt)));
+        run ~front
+  in
+  (* A domain that cannot be spawned (the runtime caps their number) just
+     leaves its share of the tasks to the others. *)
+  let domains =
+    List.filter_map
+      (fun _ -> try Some (Domain.spawn (fun () -> run ~front:false)) with Failure _ -> None)
+      (List.init (workers - 1) Fun.id)
+  in
+  run ~front:true;
+  List.iter Domain.join domains;
+  Array.mapi
+    (fun i r ->
+      Em.Trace.replay stages.(i);
+      match r with
+      | Some (Ok v) -> v
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> invalid_arg "Cluster.each_shard: unfinished task (impossible)")
+    results
+
+let each_shard t f =
+  match worker_count t with
+  | 1 -> Array.init (size t) f
+  | workers -> run_on_domains ~workers (size t) f
 
 (* Open an I/O scheduling window on every shard around [f]: collective
    operations issue interleaved I/Os on all machines at once, and each
@@ -624,11 +721,14 @@ let agree_splitters ?(eps = 0.) ?rounds cmp t ~sorted ~k =
    produce — shards change communication, never work. *)
 
 let local_sort cmp t inputs =
-  Array.mapi
+  Array.iteri
     (fun i v ->
+      if Em.Vec.ctx v != t.shards.(i) then
+        invalid_arg "Cluster: input vector i must live on shard i")
+    inputs;
+  each_shard t (fun i ->
       Em.Phase.with_label t.shards.(i) "local-sort" (fun () ->
-          Emalg.External_sort.sort (Em.Ctx.counted t.shards.(i) cmp) v))
-    inputs
+          Emalg.External_sort.sort (Em.Ctx.counted t.shards.(i) cmp) inputs.(i)))
 
 (* Local cut positions of the agreed boundary values: [cuts.(0) = 0], then
    one local [rank_le] per boundary, then the shard length. *)
@@ -665,6 +765,20 @@ let finish_merge cmp t ~dest runs =
   Em.Phase.with_label t.shards.(dest) "finish" (fun () ->
       Emalg.External_sort.merge_passes (Em.Ctx.counted t.shards.(dest) cmp) runs)
 
+(* The local finish of a [k]-way split: part [g] is merged on [dest g] from
+   column [g] of the exchanged runs.  One task per destination shard merges
+   its parts in ascending [g], and [dest] is non-decreasing, so shard order
+   is [g] order. *)
+let finish_parts cmp t ~k ~dest parts =
+  let column g = Array.to_list (Array.map (fun row -> row.(g)) parts) in
+  let per_shard =
+    each_shard t (fun d ->
+        List.filter_map
+          (fun g -> if dest g = d then Some (finish_merge cmp t ~dest:d (column g)) else None)
+          (List.init k Fun.id))
+  in
+  Array.of_list (List.concat (Array.to_list per_shard))
+
 (* Agreement plus exchange for a [k]-way split of the sorted runs; shared
    by {!sort} (k = P, identity destination) and {!partition}. *)
 let split_exchange ?rounds cmp t ~sorted ~k ~tol ~dest =
@@ -684,8 +798,6 @@ let split_exchange ?rounds cmp t ~sorted ~k ~tol ~dest =
       in
       (ag, runs))
 
-let column parts g = Array.to_list (Array.map (fun row -> row.(g)) parts)
-
 let sort ?(eps = 0.5) ?rounds cmp t inputs =
   check_parts t inputs "Cluster.sort";
   let p = size t in
@@ -698,8 +810,7 @@ let sort ?(eps = 0.5) ?rounds cmp t inputs =
         ~dest:(fun g -> g)
     in
     Array.iter Em.Vec.free sorted;
-    let out = Array.init p (fun g -> finish_merge cmp t ~dest:g (column parts g)) in
-    (out, Some ag)
+    (finish_parts cmp t ~k:p ~dest:Fun.id parts, Some ag)
   end
 
 let owner ~p ~k g = g * p / k
@@ -720,11 +831,7 @@ let partition ?(eps = 0.) ?rounds cmp t inputs ~k =
         ~dest:(owner ~p ~k)
     in
     Array.iter Em.Vec.free sorted;
-    let out =
-      Array.init k (fun g ->
-          finish_merge cmp t ~dest:(owner ~p ~k g) (column parts g))
-    in
-    (out, Some ag)
+    (finish_parts cmp t ~k ~dest:(owner ~p ~k) parts, Some ag)
   end
 
 let multiselect ?rounds cmp t inputs ~ranks =
@@ -740,3 +847,8 @@ let splitters ?eps ?rounds cmp t inputs ~k =
   let ag = agree_splitters ?eps ?rounds cmp t ~sorted ~k in
   Array.iter Em.Vec.free sorted;
   ag
+
+module Private = struct
+  let set_workers t w = t.workers <- w
+  let workers = worker_count
+end

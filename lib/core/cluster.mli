@@ -154,9 +154,32 @@ val agree_splitters :
     All four run local sort, splitter agreement, local cut at the agreed
     values, one metered all-to-all exchange, local finish — and all four
     produce outputs identical to their P = 1 run.  Inputs are preserved;
-    intermediate per-shard runs are freed.  Pass a {e plain} (uncounted)
-    comparator: every comparison is counted on the ledger of the shard
-    that performs it, so {!totals} is the cluster's true counted work. *)
+    intermediate per-shard runs are freed.  Input [i] must live on shard
+    [i] (as {!place} and {!scatter} leave it); [Invalid_argument]
+    otherwise.  Pass a {e plain} (uncounted) comparator: every comparison
+    is counted on the ledger of the shard that performs it, so {!totals} is
+    the cluster's true counted work.
+
+    {b Concurrency.}  The shard-local supersteps run on OCaml domains:
+    every driver's local external sort, and the final per-part merge of
+    {!sort} and {!partition} (one task per destination shard, merging its
+    parts in ascending order).  Agreement, cut and exchange stay
+    sequential.  So:
+    - the comparator may be called from several domains at once, and must
+      be safe to call concurrently (a pure function is);
+    - up to [min P (Domain.recommended_domain_count ())] domains run, the
+      caller's included; workers are spawned and joined within each call;
+    - the trace is exactly the sequential one: the caller's domain emits
+      its own shards' events directly, and replays the other shards' staged
+      events ({!Em.Trace.staged}) in shard order, so sequence numbers,
+      locality, every sink and {!Em.Trace.total} are unchanged;
+    - if shard [i]'s task raises, no task past [i] starts, the same
+      exception re-raises, and the trace holds the sequential prefix up to
+      the raise.  The stats of shards past [i] are unspecified;
+    - with P = 1, or span hooks ({!Em.Profile}, a serve engine) or a fault
+      plan attached to any shard, the tasks run inline on the caller's
+      domain, one after the other: hooks and plans are shared mutable state
+      whose call order defines their output. *)
 
 val sort :
   ?eps:float ->
@@ -210,3 +233,16 @@ val splitters :
   'a agreement
 (** Approximate splitters: {!agree_splitters} over freshly local-sorted
     inputs. *)
+
+(**/**)
+
+module Private : sig
+  val set_workers : 'a t -> int option -> unit
+  (** Force the shard scheduler's worker count ([None] restores the
+      runtime's [Domain.recommended_domain_count]).  The one-worker
+      fallbacks still apply.  For tests: it lets a one-CPU host cover the
+      parallel path. *)
+
+  val workers : 'a t -> int
+  (** The worker count the next shard-local superstep will use. *)
+end

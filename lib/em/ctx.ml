@@ -62,4 +62,15 @@ let block_size ctx = ctx.params.Params.block
 let fanout ctx = Params.fanout ctx.params
 let disks ctx = ctx.params.Params.disks
 let with_words ctx n f = Mem.with_words ctx.params ctx.stats n f
+
+(* Write-behind queues hold opportunistic charges that [Mem.charge] reclaims
+   under pressure.  Sizing decisions must not count them as taken: they are
+   D-dependent batching (absent at D = 1), so counting them would make
+   fanouts — and with them the work — depend on D, and can leave room for no
+   fanout at all.  Draining them first changes batching only, never counted
+   I/Os. *)
+let free_words ctx =
+  ignore (Stats.run_reclaimers ctx.stats max_int);
+  mem_capacity ctx - ctx.stats.Stats.mem_in_use
+
 let io_window ctx f = Stats.with_window ctx.stats f

@@ -110,6 +110,13 @@ val shard : 'a t -> int option
 val with_words : 'a t -> int -> (unit -> 'b) -> 'b
 (** Charge the memory ledger around a computation; see {!Mem.with_words}. *)
 
+val free_words : 'a t -> int
+(** Words a mandatory charge could take right now: [M] minus the words in
+    use, after draining every opportunistic write-behind queue (as
+    {!Mem.charge} does under pressure).  Use it to size fanouts: the queues
+    exist only at D > 1, so counting them as used would make work depend on
+    D. *)
+
 val io_window : 'a t -> (unit -> 'b) -> 'b
 (** Bracket [f] in one parallel scheduling window: the metered I/Os it
     issues are billed [max] per-disk I/Os rounds instead of one round each

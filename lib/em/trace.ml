@@ -129,7 +129,7 @@ let classify t block =
   else if block = t.last_block || block = t.last_block + 1 then Sequential
   else Random
 
-let emit ?(kind = Io) ?(backend = "sim") ?cache ?disk ?round ?shard t op ~block ~phase =
+let emit_now ~kind ~backend ?cache ?disk ?round ?shard t op ~block ~phase =
   let e =
     { seq = t.next_seq; op; kind; block; phase; locality = classify t block;
       backend; cache; disk; round; shard }
@@ -144,6 +144,144 @@ let emit ?(kind = Io) ?(backend = "sim") ?cache ?disk ?round ?shard t op ~block 
           output_char oc '\n'
       | Custom c -> c.push e)
     t.sinks
+
+(* Deferred emission for work running off the main domain.
+
+   A staged event is one phase-list pointer (shared with the machine's
+   stack, never copied) plus one packed int — op, cache outcome, kind, two
+   presence flags, a context index and the block — followed by the disk and
+   round when present.  The tracer, backend name and shard, which are fixed
+   per device, live once in a small context table.  Both streams grow by
+   appending fixed-size chunks, so a stage never copies itself.  Sequence
+   numbers and locality are not decided here: {!replay} runs the events
+   through the ordinary emit path, so they come out exactly as if emitted in
+   replay order. *)
+
+let chunk = 1024
+
+type 'a chunks = {
+  mutable full : 'a array list;  (* filled chunks, newest first *)
+  mutable cur : 'a array;  (* made at the first push after a fill *)
+  mutable fill : int;
+}
+
+let new_chunks () = { full = []; cur = [||]; fill = 0 }
+
+let push_chunk c x =
+  if c.fill = Array.length c.cur then begin
+    if c.fill > 0 then c.full <- c.cur :: c.full;
+    c.cur <- Array.make chunk x;
+    c.fill <- 0
+  end;
+  c.cur.(c.fill) <- x;
+  c.fill <- c.fill + 1
+
+let chunk_list c = List.rev_append c.full [ Array.sub c.cur 0 c.fill ]
+
+type context = { tracer : t; ctx_backend : string; ctx_shard : int option }
+
+type stage = {
+  mutable contexts : context array;
+  mutable last : int;  (* index of the most recently used context *)
+  mutable phases : string list chunks;
+  mutable words : int chunks;
+}
+
+let create_stage () =
+  { contexts = [||]; last = -1; phases = new_chunks (); words = new_chunks () }
+
+let staging : stage option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let fault_kinds =
+  Fault.[| Transient_read; Permanent_read; Transient_write; Permanent_write;
+           Torn_write; Bit_corruption; Crash |]
+
+let kind_code = function
+  | Io -> 0
+  | Retry -> 1
+  | Faulted k ->
+      let rec find i = if fault_kinds.(i) = k then i + 2 else find (i + 1) in
+      find 0
+
+let kind_of_code = function 0 -> Io | 1 -> Retry | c -> Faulted fault_kinds.(c - 2)
+
+(* Packed word: bit 0 op, bits 1-2 cache, bits 3-6 kind, bit 7 disk
+   present, bit 8 round present, bits 9-20 context, block above (signed:
+   checkpoint records use negative ids). *)
+let ctx_shift = 9
+let max_contexts = 1 lsl 12
+let block_shift = ctx_shift + 12
+
+let same_context c t backend shard =
+  c.tracer == t && String.equal c.ctx_backend backend && Option.equal Int.equal c.ctx_shard shard
+
+let context_index st t backend shard =
+  if st.last >= 0 && same_context st.contexts.(st.last) t backend shard then st.last
+  else begin
+    let n = Array.length st.contexts in
+    let rec find i =
+      if i = n then begin
+        if n = max_contexts then invalid_arg "Trace.staged: too many distinct contexts";
+        st.contexts <-
+          Array.append st.contexts [| { tracer = t; ctx_backend = backend; ctx_shard = shard } |];
+        n
+      end
+      else if same_context st.contexts.(i) t backend shard then i
+      else find (i + 1)
+    in
+    st.last <- find 0;
+    st.last
+  end
+
+let stage_event st ~kind ~backend ~cache ~disk ~round ~shard t op ~block ~phase =
+  push_chunk st.phases phase;
+  push_chunk st.words
+    ((match op with Read -> 0 | Write -> 1)
+    lor ((match cache with None -> 0 | Some Hit -> 1 | Some Miss -> 2) lsl 1)
+    lor (kind_code kind lsl 3)
+    lor ((if disk = None then 0 else 1) lsl 7)
+    lor ((if round = None then 0 else 1) lsl 8)
+    lor (context_index st t backend shard lsl ctx_shift)
+    lor (block lsl block_shift));
+  (match disk with None -> () | Some d -> push_chunk st.words d);
+  match round with None -> () | Some r -> push_chunk st.words r
+
+let emit ?(kind = Io) ?(backend = "sim") ?cache ?disk ?round ?shard t op ~block ~phase =
+  match Domain.DLS.get staging with
+  | None -> emit_now ~kind ~backend ?cache ?disk ?round ?shard t op ~block ~phase
+  | Some st -> stage_event st ~kind ~backend ~cache ~disk ~round ~shard t op ~block ~phase
+
+let staged st f =
+  let outer = Domain.DLS.get staging in
+  Domain.DLS.set staging (Some st);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set staging outer) f
+
+let replay st =
+  let contexts = st.contexts and phases = chunk_list st.phases in
+  let words = Array.concat (chunk_list st.words) and pos = ref 0 in
+  let next () =
+    let w = words.(!pos) in
+    incr pos;
+    w
+  in
+  st.contexts <- [||];
+  st.last <- -1;
+  st.phases <- new_chunks ();
+  st.words <- new_chunks ();
+  List.iter
+    (Array.iter (fun phase ->
+         let w = next () in
+         let disk = if (w lsr 7) land 1 = 1 then Some (next ()) else None in
+         let round = if (w lsr 8) land 1 = 1 then Some (next ()) else None in
+         let c = contexts.((w lsr ctx_shift) land (max_contexts - 1)) in
+         emit_now
+           ~kind:(kind_of_code ((w lsr 3) land 15))
+           ~backend:c.ctx_backend
+           ?cache:(match (w lsr 1) land 3 with 1 -> Some Hit | 2 -> Some Miss | _ -> None)
+           ?disk ?round ?shard:c.ctx_shard c.tracer
+           (if w land 1 = 0 then Read else Write)
+           ~block:(w asr block_shift) ~phase))
+    phases
 
 let first_ring t =
   List.find_map (function Ring r -> Some r | _ -> None) t.sinks

@@ -92,6 +92,31 @@ val emit :
     on a tracer is classified {!Random} (the head must seek to the first
     block). *)
 
+(** {2 Staged emission}
+
+    Work that runs off the main domain (the shard-local supersteps of
+    [Core.Cluster]) must not touch a tracer's sinks, sequence counter or
+    locality state.  Inside {!staged}, {!emit} on the calling domain records
+    its arguments into a {!stage} instead; {!replay} later runs them through
+    the ordinary emit path on the caller's domain, so sequence numbers,
+    locality and every sink see exactly the stream an unstaged run of the
+    same work would have produced.  A staged event costs a few words — the
+    phase path is shared, not copied — and no closure.  Outside {!staged},
+    {!emit} pays one domain-local lookup. *)
+
+type stage
+
+val create_stage : unit -> stage
+
+val staged : stage -> (unit -> 'a) -> 'a
+(** [staged st f] runs [f] with this domain's {!emit} calls recorded into
+    [st] (for every tracer), restoring the previous mode when [f] returns or
+    raises. *)
+
+val replay : stage -> unit
+(** Emit [st]'s events, oldest first, through the ordinary path, leaving
+    [st] empty.  Call it on a domain that is not itself staging. *)
+
 val events : t -> event list
 (** Retained events of the first ring sink, oldest first. *)
 

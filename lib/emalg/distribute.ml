@@ -40,9 +40,8 @@ let by_pivots cmp ~pivots v =
    (e.g. a caller-charged pivot array): one reader buffer plus [f] writer
    buffers must fit in the free memory. *)
 let free_fanout ctx =
-  let m = Em.Ctx.mem_capacity ctx and b = Em.Ctx.block_size ctx in
-  let free = m - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
-  max 1 ((free - b) / b)
+  let b = Em.Ctx.block_size ctx in
+  max 1 ((Em.Ctx.free_words ctx - b) / b)
 
 let rec by_pivots_deep cmp ~pivots ~owned v =
   let ctx = Em.Vec.ctx v in

@@ -15,8 +15,7 @@ let default_target ctx ~n =
     (* Conservative: the pivot array itself (up to M/8 words) will be charged
        while the writers are open. *)
     let b = Em.Ctx.block_size ctx in
-    let free = m - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
-    max 2 (min (Distribute.max_fanout ctx) ((free - b - (m / 8)) / b))
+    max 2 (min (Distribute.max_fanout ctx) ((Em.Ctx.free_words ctx - b - (m / 8)) / b))
   in
   let wanted =
     if wanted > single_pass && n <= single_pass * base then single_pass else wanted
@@ -87,9 +86,8 @@ let split_tagging cmp v ~target_buckets =
     let pivots = Sample_splitters.find_tagging cmp v ~k in
     Em.Ctx.with_words ctx (k - 1) (fun () ->
         let fanout =
-          let m = Em.Ctx.mem_capacity ctx and b = Em.Ctx.block_size ctx in
-          let free = m - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
-          max 2 (min (Distribute.max_fanout ctx) ((free - b) / b))
+          let b = Em.Ctx.block_size ctx in
+          max 2 (min (Distribute.max_fanout ctx) ((Em.Ctx.free_words ctx - b) / b))
         in
         if k <= fanout then distribute_tagging_pass cmp ~tagged_pivots:pivots pctx v
         else begin

@@ -389,6 +389,176 @@ let test_shard_trace () =
     (fun (_, ios) -> Tu.check_bool "every shard did I/O" true (ios > 0))
     balance
 
+(* ---- the shard scheduler: domains change wall time, never the trace ---- *)
+
+let vec_arrays vs =
+  let r = Array.map Em.Vec.Oracle.to_array vs in
+  Array.iter Em.Vec.free vs;
+  r
+
+(* One run of [driver] at P = [shards] with the scheduler forced to
+   [workers] (so one-CPU hosts cover the parallel path too): its outcome,
+   the full JSONL trace, and per-shard (reads, writes, comparisons). *)
+let scheduled_run ~shards ~workers driver a =
+  let path = Filename.temp_file "em-cluster-" ".jsonl" in
+  let oc = open_out path in
+  let trace = Em.Trace.create () in
+  Em.Trace.add_sink trace (Em.Trace.jsonl_sink oc);
+  let t : int Core.Cluster.t = Core.Cluster.create ~trace ~shards (Tu.params ()) in
+  Core.Cluster.Private.set_workers t (Some workers);
+  Tu.check_int "scheduler worker count" (min shards workers) (Core.Cluster.Private.workers t);
+  let parts = Core.Cluster.place t a in
+  let out = match driver t parts with out -> Ok out | exception e -> Error e in
+  close_out oc;
+  let jsonl = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let costs =
+    Array.init shards (fun i ->
+        let s = (Core.Cluster.ctx t i).Em.Ctx.stats in
+        Em.Stats.[ s.reads; s.writes; s.comparisons ])
+  in
+  Core.Cluster.close t;
+  (out, jsonl, costs)
+
+let scheduled_drivers =
+  [
+    ("partition", fun t parts -> vec_arrays (fst (Core.Cluster.partition Tu.icmp t parts ~k:5)));
+    ("sort", fun t parts -> vec_arrays (fst (Core.Cluster.sort Tu.icmp t parts)));
+    ( "splitters",
+      fun t parts -> [| (Core.Cluster.splitters Tu.icmp t parts ~k:6).Core.Cluster.values |] );
+    ( "multiselect",
+      fun t parts ->
+        [| fst (Core.Cluster.multiselect Tu.icmp t parts ~ranks:[| 1; 99; 1234; 2500 |]) |] );
+  ]
+
+let test_scheduler_determinism () =
+  let a = Tu.random_perm ~seed:21 2500 in
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun (name, driver) ->
+          let ref_out, ref_trace, ref_costs = scheduled_run ~shards ~workers:1 driver a in
+          let ref_out = match ref_out with Ok o -> o | Error e -> raise e in
+          List.iter
+            (fun workers ->
+              let what = Printf.sprintf "%s P=%d workers=%d" name shards workers in
+              let out, trace, costs = scheduled_run ~shards ~workers driver a in
+              (match out with
+              | Ok out ->
+                  Tu.check_bool (what ^ ": outputs") true (out = ref_out)
+              | Error e -> raise e);
+              Tu.check_int (what ^ ": trace length") (String.length ref_trace)
+                (String.length trace);
+              Tu.check_bool (what ^ ": trace byte for byte") true (trace = ref_trace);
+              Array.iteri
+                (fun i c ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s: shard %d reads/writes/comparisons" what i)
+                    ref_costs.(i) c)
+                costs)
+            [ 2; shards ])
+        scheduled_drivers)
+    [ 2; 4; 8 ]
+
+exception Boom of int
+
+(* A comparator that raises on one key held by shard 5 of 8.  Shards past
+   the failing one may have run (their stats are unspecified), but the
+   exception, and the trace up to it, must be the sequential ones; and every
+   worker domain must be joined — 200 failing calls would exhaust the
+   runtime's ~128 domains otherwise. *)
+let test_scheduler_failure () =
+  let shards = 8 and n = 800 in
+  let a = Tu.random_perm ~seed:5 n in
+  let key = a.((5 * n / 8) + 3) in
+  let cmp x y = if x = key || y = key then raise (Boom key) else Int.compare x y in
+  let driver t parts = vec_arrays (fst (Core.Cluster.partition cmp t parts ~k:8)) in
+  let expect_boom what = function
+    | Error (Boom k) when k = key -> ()
+    | Error e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | Ok _ -> Alcotest.failf "%s: did not raise" what
+  in
+  let out, sequential, _ = scheduled_run ~shards ~workers:1 driver a in
+  expect_boom "one worker" out;
+  Tu.check_bool "the sequential prefix reaches shard 5" true
+    (Tu.contains ~sub:"\"shard\":5" sequential);
+  Tu.check_bool "the sequential prefix stops before shard 6" false
+    (Tu.contains ~sub:"\"shard\":6" sequential);
+  for _ = 1 to 200 do
+    let out, trace, _ = scheduled_run ~shards ~workers:2 driver a in
+    expect_boom "two workers" out;
+    if trace <> sequential then Alcotest.fail "replayed trace is not the sequential prefix"
+  done;
+  Domain.join (Domain.spawn ignore)
+
+(* The one-worker fallbacks keep shared observers exact.  The pinned values
+   were measured with the scheduler-free sequential drivers (P = 8,
+   partition of a 3000-element permutation into 6 parts, M = 256, B = 16). *)
+
+(* One profiler attached to all 8 shards, as a traced benchmark pass does:
+   every span's (path, calls, reads, writes, comparisons), digested. *)
+let profile_spans_digest () =
+  let shards = 8 in
+  let t : int Core.Cluster.t = Core.Cluster.create ~shards (Tu.params ()) in
+  Core.Cluster.Private.set_workers t (Some 2);
+  let prof = Em.Profile.create () in
+  for i = 0 to shards - 1 do
+    Em.Profile.attach prof (Core.Cluster.ctx t i).Em.Ctx.stats
+  done;
+  Tu.check_int "span hooks force one worker" 1 (Core.Cluster.Private.workers t);
+  let parts = Core.Cluster.place t (Tu.random_perm ~seed:8 3000) in
+  ignore (vec_arrays (fst (Core.Cluster.partition Tu.icmp t parts ~k:6)));
+  Core.Cluster.close t;
+  let lines =
+    List.map
+      (fun (s : Em.Profile.span) ->
+        Printf.sprintf "%s %d %d %d %d" (Em.Profile.path_name s.path) s.calls s.reads s.writes
+          s.comparisons)
+      (Em.Profile.spans prof)
+  in
+  (List.length lines, Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* One seeded fault plan shared by shards 3 and 6, so where its faults land
+   depends on the order of the two shards' I/Os: per-shard reads, writes,
+   comparisons, faults and retries.  One disk: where faults land follows the I/O order,
+   which write-behind batching changes at D > 1. *)
+let fault_plan_costs () =
+  let shards = 8 in
+  let t : int Core.Cluster.t = Core.Cluster.create ~disks:1 ~shards (Tu.params ()) in
+  Core.Cluster.Private.set_workers t (Some 2);
+  let plan = Em.Fault.seeded ~seed:13 ~p:0.1 [ Transient_read; Transient_write ] in
+  List.iter
+    (fun i ->
+      let cx = Core.Cluster.ctx t i in
+      Em.Ctx.arm cx;
+      Em.Ctx.inject cx plan)
+    [ 3; 6 ];
+  Tu.check_int "a fault plan forces one worker" 1 (Core.Cluster.Private.workers t);
+  let parts = Core.Cluster.place t (Tu.random_perm ~seed:9 3000) in
+  ignore (vec_arrays (fst (Core.Cluster.partition Tu.icmp t parts ~k:6)));
+  let costs =
+    List.init shards (fun i ->
+        let s = (Core.Cluster.ctx t i).Em.Ctx.stats in
+        Em.Stats.[ s.reads; s.writes; s.comparisons; s.faults; s.retries ])
+  in
+  Core.Cluster.close t;
+  costs
+
+let test_profile_fallback () =
+  let n, digest = profile_spans_digest () in
+  Tu.check_int "span count" 8 n;
+  Alcotest.(check string) "spans (labels, calls, I/Os, comparisons)" "e49df3034758ce9e36bea83e284b1a89" digest
+
+let test_fault_fallback () =
+  Alcotest.(check (list (list int)))
+    "per-shard reads, writes, comparisons, faults, retries" 
+    [
+      [ 176; 115; 11435; 0; 0 ]; [ 179; 115; 9870; 0; 0 ]; [ 176; 113; 9464; 0; 0 ];
+      [ 151; 55; 6614; 19; 19 ]; [ 175; 115; 9570; 0; 0 ]; [ 176; 115; 9452; 0; 0 ];
+      [ 194; 123; 9451; 30; 30 ]; [ 140; 48; 6496; 0; 0 ];
+    ]
+    (fault_plan_costs ())
+
 let suite =
   [
     Alcotest.test_case "comm ledger rounds and words" `Quick test_comm_ledger;
@@ -403,4 +573,10 @@ let suite =
     Alcotest.test_case "multiselect matches oracle" `Quick test_multiselect_matches_oracle;
     Alcotest.test_case "EM_SHARDS default shard count" `Quick test_default_shards_env;
     Alcotest.test_case "trace rollups carry shard ids" `Quick test_shard_trace;
+    Alcotest.test_case "scheduler: parallel runs equal the sequential one" `Quick
+      test_scheduler_determinism;
+    Alcotest.test_case "scheduler: a raising shard leaves the sequential prefix" `Quick
+      test_scheduler_failure;
+    Alcotest.test_case "scheduler: profiles fall back to one worker" `Quick test_profile_fallback;
+    Alcotest.test_case "scheduler: fault plans fall back to one worker" `Quick test_fault_fallback;
   ]

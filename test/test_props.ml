@@ -334,6 +334,36 @@ let prop_random_geometry =
       && ok_parts
       && ctx.Em.Ctx.stats.Em.Stats.mem_in_use = 0)
 
+(* Pinned from QCHECK_SEED=832859484 EM_DISKS=8 on the property above (its
+   shrunk instances: M = 256, B = 32, n = 1088).  At D = 8 the partitioner's
+   write-behind output queue held opportunistic charges that the fanout
+   sizing counted as taken, which left no room for a 2-way distribution.
+   The partitioning must now succeed at D = 8 and do exactly the D = 1
+   work. *)
+let test_random_geometry_d8_regression () =
+  List.iter
+    (fun kind ->
+      let n = 1088 in
+      let a = gen_array (n, 0, kind) in
+      let spec = Core.Problem.even_spec ~n ~k:8 in
+      let run disks =
+        let params = Em.Params.with_disks (Tu.params ~mem:256 ~block:32 ()) disks in
+        let ctx : int Em.Ctx.t = Em.Ctx.create params in
+        let parts = Core.Partitioning.solve Tu.icmp (Tu.int_vec ctx a) spec in
+        (match
+           Core.Verify.partitioning Tu.icmp ~input:a spec
+             (Array.map Em.Vec.Oracle.to_array parts)
+         with
+        | Ok () -> ()
+        | Error msg -> Alcotest.fail msg);
+        let s = ctx.Em.Ctx.stats in
+        Em.Stats.[ s.reads; s.writes; s.comparisons ]
+      in
+      Alcotest.(check (list int))
+        (Core.Workload.kind_name kind ^ ": D = 8 does the D = 1 work")
+        (run 1) (run 8))
+    Core.Workload.[ Sorted; Reverse_sorted; Organ_pipe ]
+
 let suite =
   [
     prop_multi_select_matches_oracle;
@@ -348,4 +378,6 @@ let suite =
     prop_packed_matches_separate;
     prop_reduction_precise;
     prop_random_geometry;
+    Alcotest.test_case "random geometry: D = 8 regression (seed 832859484)" `Quick
+      test_random_geometry_d8_regression;
   ]

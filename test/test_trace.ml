@@ -222,6 +222,49 @@ let test_env_ring_capacity () =
       | exception Invalid_argument _ -> ())
     [ "0"; "-4"; "many"; "3.5" ]
 
+(* Staging then replaying a stream must reproduce direct emission exactly,
+   across every field encoding (kinds, cache outcomes, optional disk/round/
+   shard, negative and large block ids, several tracers and backends) and
+   across chunk boundaries. *)
+let test_staged_replay_matches_direct () =
+  let kinds =
+    Em.Trace.[| Io; Retry; Faulted Em.Fault.Torn_write; Faulted Em.Fault.Crash |]
+  in
+  let emit_all a b =
+    for i = 0 to 2999 do
+      let t = if i mod 7 = 3 then b else a in
+      let cache = match i mod 3 with 0 -> None | 1 -> Some Em.Trace.Hit | _ -> Some Em.Trace.Miss in
+      Em.Trace.emit ~kind:kinds.(i mod 4)
+        ~backend:(if i mod 5 = 0 then "file" else "sim")
+        ?cache
+        ?disk:(if i mod 2 = 0 then Some (i mod 8) else None)
+        ?round:(if i mod 4 < 2 then Some (i * 3) else None)
+        ?shard:(if i mod 11 = 0 then None else Some (i mod 6))
+        t
+        (if i mod 2 = 0 then Em.Trace.Read else Em.Trace.Write)
+        ~block:(if i mod 13 = 0 then -1 - i else (i * 7919) + (1 lsl 35))
+        ~phase:(if i mod 3 = 0 then [] else [ "inner"; "outer" ])
+    done
+  in
+  let traced () =
+    let t = Em.Trace.create () in
+    let sink, events = Em.Trace.collector () in
+    Em.Trace.add_sink t sink;
+    (t, events)
+  in
+  let a, direct_a = traced () and b, direct_b = traced () in
+  emit_all a b;
+  let a', staged_a = traced () and b', staged_b = traced () in
+  let st = Em.Trace.create_stage () in
+  Em.Trace.staged st (fun () -> emit_all a' b');
+  Tu.check_int "staging emits nothing" 0 (Em.Trace.total a' + Em.Trace.total b');
+  Em.Trace.replay st;
+  Tu.check_int "tracer a: event count" (List.length (direct_a ())) (List.length (staged_a ()));
+  Tu.check_bool "tracer a: replay = direct" true (direct_a () = staged_a ());
+  Tu.check_bool "tracer b: replay = direct" true (direct_b () = staged_b ());
+  Em.Trace.replay st;
+  Tu.check_int "a replayed stage is empty" 3000 (Em.Trace.total a' + Em.Trace.total b')
+
 let suite =
   [
     Alcotest.test_case "device emits one event per I/O" `Quick test_device_emits_events;
@@ -237,4 +280,6 @@ let suite =
     Alcotest.test_case "report: reuse histograms" `Quick test_report_histograms;
     Alcotest.test_case "linked ctx shares the tracer" `Quick test_linked_ctx_shares_tracer;
     Alcotest.test_case "EM_TRACE_RING env default" `Quick test_env_ring_capacity;
+    Alcotest.test_case "staged replay matches direct emission" `Quick
+      test_staged_replay_matches_direct;
   ]
