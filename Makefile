@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test fmt goldens bench bench-json bench-file perf perf-trace perf-smoke test-backends test-disks test-shards test-async test-async-stress faults serve-smoke telemetry-smoke soak cluster clean
+.PHONY: all build test fmt goldens bench bench-json bench-file perf perf-trace perf-smoke test-backends test-disks test-shards test-async test-async-stress faults serve-smoke telemetry-smoke soak cluster loc clean
 
 all: build
 
@@ -24,6 +24,14 @@ goldens:
 
 bench:
 	dune exec bench/main.exe
+
+# Line counts (.ml + .mli) of the trees whose size ROADMAP.md tracks per
+# change: lib/em, all of lib/, bin/ + bench/, and test/.
+loc:
+	@for d in lib/em lib "bin bench" test; do \
+	  printf '%-10s %6d\n' "$$d" \
+	    $$(find $$d \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l); \
+	done
 
 # Bounded small-geometry sweep of every bench section; writes the
 # machine-readable BENCH_{table1,figures,ablations,timing}.json artifacts at

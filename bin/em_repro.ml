@@ -854,7 +854,7 @@ let run_profile c algo n k a b ranks =
     (fun i s ->
       if i < 10 then
         Printf.printf "  %8d I/O  %9d cmp  x%-4d %s\n" (Em.Profile.span_ios s)
-          s.Em.Profile.comparisons s.Em.Profile.calls
+          s.Em.Profile.cost.Em.Stats.d_comparisons s.Em.Profile.calls
           (Em.Profile.path_name s.Em.Profile.path))
     (Em.Profile.spans profiler)
 

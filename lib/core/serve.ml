@@ -402,7 +402,7 @@ let profile_json srv =
       (fun s ->
         Printf.sprintf "{\"path\":\"%s\",\"ios\":%d,\"calls\":%d,\"comparisons\":%d}"
           (json_escape (Em.Profile.path_name s.Em.Profile.path))
-          (Em.Profile.span_ios s) s.Em.Profile.calls s.Em.Profile.comparisons)
+          (Em.Profile.span_ios s) s.Em.Profile.calls s.Em.Profile.cost.Em.Stats.d_comparisons)
       (Em.Profile.spans srv.profiler)
   in
   Printf.sprintf "{\"spans\":[%s]}" (String.concat "," spans)

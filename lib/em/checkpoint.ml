@@ -12,6 +12,7 @@ type 's t = {
   stats : Stats.t;
   trace : Trace.t;
   block : int;
+  disks : int;
   mutable slot : 's option;
   mutable slot_words : int;
   mutable saves : int;
@@ -25,6 +26,7 @@ let create ctx =
     stats = ctx.Ctx.stats;
     trace = ctx.Ctx.trace;
     block = Ctx.block_size ctx;
+    disks = Ctx.disks ctx;
     slot = None;
     slot_words = 0;
     saves = 0;
@@ -39,10 +41,8 @@ let charge t (op : Trace.op) ~label n =
   let s = t.stats in
   Stats.push_phase s label;
   for i = 0 to n - 1 do
-    (match op with
-    | Trace.Read -> s.Stats.reads <- s.Stats.reads + 1
-    | Trace.Write -> s.Stats.writes <- s.Stats.writes + 1);
-    Stats.record_phase_io s;
+    (* Block i of the region stripes to disk i mod D, as a data slot would. *)
+    Stats.charge s ~write:(op = Trace.Write) ~disk:(i mod t.disks);
     (* The checkpoint region lives at negative "addresses". *)
     Trace.emit t.trace op ~block:(-1 - i) ~phase:s.Stats.phase_stack
   done;

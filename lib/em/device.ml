@@ -243,9 +243,6 @@ let disk_of_slot d p = p mod d.params.Params.disks
 let disk_of_block d id = disk_of_slot d (phys d id)
 
 let charge ?cache d (op : Trace.op) ~block ~fault ~attempt =
-  (match op with
-  | Trace.Read -> d.stats.Stats.reads <- d.stats.Stats.reads + 1
-  | Trace.Write -> d.stats.Stats.writes <- d.stats.Stats.writes + 1);
   if attempt > 1 then d.stats.Stats.retries <- d.stats.Stats.retries + 1;
   if fault <> None then d.stats.Stats.faults <- d.stats.Stats.faults + 1;
   (* Hit/miss accounting covers exactly the metered reads, so the invariant
@@ -256,12 +253,11 @@ let charge ?cache d (op : Trace.op) ~block ~fault ~attempt =
   | Some Trace.Miss -> d.stats.Stats.cache_misses <- d.stats.Stats.cache_misses + 1
   | None -> ());
   let disk = disk_of_slot d block in
-  (* The round id is read before [record_io]: an unbatched I/O becomes round
-     [rounds], and every I/O inside one scheduling window shares the round
-     counter as it stood when the window opened. *)
+  (* The round id is read before [Stats.charge]: an unbatched I/O becomes
+     round [rounds], and every I/O inside one scheduling window shares the
+     round counter as it stood when the window opened. *)
   let round = d.stats.Stats.rounds in
-  Stats.record_io d.stats ~disk;
-  Stats.record_phase_io d.stats;
+  Stats.charge d.stats ~write:(op = Trace.Write) ~disk;
   let multi = d.params.Params.disks > 1 in
   Trace.emit ~kind:(trace_kind fault attempt) ~backend:d.backend.Backend.name ?cache
     ?disk:(if multi then Some disk else None)

@@ -78,7 +78,8 @@ val publish_stats : t -> Stats.t -> unit
 (** Publish the machine's native counters ({!Stats.t}) into the registry:
     [reads_total], [writes_total], [ios_total], [comparisons_total],
     [faults_total], [retries_total], [mem_peak_words], and one
-    [phase_ios{path=...}] gauge per phase path.  When a cached backend has
+    [phase_ios{path=...}] gauge per phase path (its own I/Os, the entries
+    of {!Phase.report}).  When a cached backend has
     been active (any nonzero cache counter), additionally
     [cache_hits_total], [cache_misses_total] and [cache_evictions_total].
     When the communication ledger is live (a {!Core.Cluster} has been

@@ -13,5 +13,7 @@ val with_label : 'a Ctx.t -> string -> (unit -> 'b) -> 'b
     machine, which is how {!Profile} sees span boundaries. *)
 
 val report : 'a Ctx.t -> (string * int) list
-(** Per-phase-path I/O counts since the last {!Stats.reset}, largest first;
-    unlabeled I/O appears as ["(other)"]. *)
+(** Per-phase-path I/O counts since the machine was created, largest first;
+    unlabeled I/O appears as ["(other)"].  Each path counts only the I/Os
+    done while it was the innermost open phase (see {!Stats.phase_report}),
+    so the entries sum to the machine's total. *)

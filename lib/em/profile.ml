@@ -1,135 +1,67 @@
-(* Span-scoped profiler.  Attaches to a machine's [Stats] through the
-   [span_hooks] observer interface: every [Phase.with_label] (and
-   checkpoint/resume charge) becomes a span keyed on its full phase path,
-   accumulating the I/Os, comparisons, fault/retry overhead, peak memory and
-   host wall-clock time spent while the span was open.  Pure observation: no
-   simulated I/O, no behavior change. *)
+(* Span-scoped profiler over the phase trees of one or more machines.  Each
+   machine's [Stats] measures its own frames; the profiler sums, per path,
+   the cost of every frame closed on a machine it is attached to, and adds
+   the one thing [Stats] does not keep: host wall-clock time.  Pure
+   observation: no simulated I/O, no behavior change. *)
 
 type span = {
   path : string list;  (* outermost label first *)
   mutable calls : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable rounds : int;
-  mutable comparisons : int;
-  mutable faults : int;
-  mutable retries : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
+  mutable cost : Stats.delta;
   mutable wall_ns : float;
   mutable mem_peak : int;
 }
 
-type frame = {
-  span : span;
-  snap : Stats.snapshot;
-  start : float;  (* host seconds *)
-  mutable peak : int;
-  counted : bool;
-      (* Re-entrant spans (a phase label nested inside itself) only bump
-         [calls]: the outermost open frame already covers their cost, so
-         counting them again would double-charge the span. *)
-}
+(* Wall time runs from the first push of a path to the pop that leaves no
+   frame of it open on any attached machine: collective phases open on
+   every shard at once, and their wall clock must not be counted P times. *)
+type entry = { span : span; mutable live : int; mutable start : float }
 
-type t = {
-  spans : (string list, span) Hashtbl.t;
-  mutable open_frames : frame list;  (* innermost first *)
-  mutable source : Stats.t option;
-}
+type t = { entries : (string list, entry) Hashtbl.t }  (* keyed on the stack *)
 
-let create () = { spans = Hashtbl.create 32; open_frames = []; source = None }
+let create () = { entries = Hashtbl.create 32 }
 
 let now () = Unix.gettimeofday ()
 
-let span_ios s = s.reads + s.writes
+let span_ios s = Stats.delta_ios s.cost
 
-let find_span t path =
-  match Hashtbl.find_opt t.spans path with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          path;
-          calls = 0;
-          reads = 0;
-          writes = 0;
-          rounds = 0;
-          comparisons = 0;
-          faults = 0;
-          retries = 0;
-          cache_hits = 0;
-          cache_misses = 0;
-          wall_ns = 0.;
-          mem_peak = 0;
-        }
-      in
-      Hashtbl.add t.spans path s;
-      s
-
-let on_push t stats stack =
-  let path = List.rev stack in
-  let span = find_span t path in
-  let counted =
-    not (List.exists (fun f -> f.span == span) t.open_frames)
+let on_push t stack =
+  let e =
+    match Hashtbl.find_opt t.entries stack with
+    | Some e -> e
+    | None ->
+        let path = List.rev stack in
+        let span =
+          { path; calls = 0; cost = Stats.zero_delta; wall_ns = 0.; mem_peak = 0 }
+        in
+        let e = { span; live = 0; start = 0. } in
+        Hashtbl.add t.entries stack e;
+        e
   in
-  t.open_frames <-
-    {
-      span;
-      snap = Stats.snapshot stats;
-      start = now ();
-      peak = stats.Stats.mem_in_use;
-      counted;
-    }
-    :: t.open_frames
+  if e.live = 0 then e.start <- now ();
+  e.live <- e.live + 1
 
-let on_pop t stats _stack =
-  match t.open_frames with
-  | [] -> ()  (* unbalanced pop after a crash wiped the stack: ignore *)
-  | frame :: rest ->
-      t.open_frames <- rest;
-      let s = frame.span in
+let on_pop t stats stack =
+  match Hashtbl.find_opt t.entries stack with
+  | Some e when e.live > 0 ->
+      let s = e.span in
+      e.live <- e.live - 1;
+      if e.live = 0 then s.wall_ns <- s.wall_ns +. ((now () -. e.start) *. 1e9);
       s.calls <- s.calls + 1;
-      if frame.counted then begin
-        let d = Stats.delta stats frame.snap in
-        s.reads <- s.reads + d.Stats.d_reads;
-        s.writes <- s.writes + d.Stats.d_writes;
-        s.rounds <- s.rounds + d.Stats.d_rounds;
-        s.comparisons <- s.comparisons + d.Stats.d_comparisons;
-        s.faults <- s.faults + d.Stats.d_faults;
-        s.retries <- s.retries + d.Stats.d_retries;
-        s.cache_hits <- s.cache_hits + d.Stats.d_cache_hits;
-        s.cache_misses <- s.cache_misses + d.Stats.d_cache_misses;
-        s.wall_ns <- s.wall_ns +. ((now () -. frame.start) *. 1e9);
-        if frame.peak > s.mem_peak then s.mem_peak <- frame.peak
-      end;
-      (* The parent's peak must cover everything the child saw. *)
-      (match rest with
-      | parent :: _ -> if frame.peak > parent.peak then parent.peak <- frame.peak
-      | [] -> ())
-
-let on_mem t m =
-  match t.open_frames with
-  | [] -> ()
-  | frame :: _ -> if m > frame.peak then frame.peak <- m
+      s.cost <- Stats.add_delta s.cost stats.Stats.popped;
+      s.mem_peak <- max s.mem_peak stats.Stats.phase.Stats.peak
+  | _ -> ()  (* opened before the profiler was attached or reset *)
 
 let attach t stats =
-  t.source <- Some stats;
   Stats.set_hooks stats
-    (Some
-       {
-         Stats.on_push = (fun stack -> on_push t stats stack);
-         on_pop = (fun stack -> on_pop t stats stack);
-         on_mem = (fun m -> on_mem t m);
-       })
+    (Some { Stats.on_push = on_push t; on_pop = on_pop t stats; on_mem = ignore })
 
 let detach stats = Stats.set_hooks stats None
 
-let reset t =
-  Hashtbl.reset t.spans;
-  t.open_frames <- []
+let reset t = Hashtbl.reset t.entries
 
 let spans t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.spans []
+  Hashtbl.fold (fun _ e acc -> e.span :: acc) t.entries []
   |> List.sort (fun a b ->
          match Int.compare (span_ios b) (span_ios a) with
          | 0 -> compare a.path b.path
@@ -139,91 +71,61 @@ let path_name path = String.concat "/" path
 
 (* ---- tree report ---- *)
 
-type node = { label : string; mutable span : span option; mutable children : node list }
-
-let make_node label = { label; span = None; children = [] }
-
-let child_named node label =
-  match List.find_opt (fun c -> c.label = label) node.children with
-  | Some c -> c
-  | None ->
-      let c = make_node label in
-      node.children <- node.children @ [ c ];
-      c
-
-let tree t =
-  let root = make_node "(run)" in
+(* Depth first, siblings by inclusive I/O (ties by label): a span sorts on
+   its ancestors' and its own (-I/O, label) pairs, outermost first, so a
+   parent's key prefixes its children's. *)
+let pp ppf t =
+  let ios stack =
+    match Hashtbl.find_opt t.entries stack with Some e -> span_ios e.span | None -> 0
+  in
+  let rec suffixes = function [] -> [] | _ :: rest as st -> st :: suffixes rest in
+  let key s = List.rev_map (fun st -> (-ios st, List.hd st)) (suffixes (List.rev s.path)) in
   List.iter
     (fun s ->
-      let node = List.fold_left child_named root s.path in
-      node.span <- Some s)
-    (List.sort (fun a b -> compare a.path b.path) (spans t));
-  root
-
-let zero_like path =
-  {
-    path;
-    calls = 0;
-    reads = 0;
-    writes = 0;
-    rounds = 0;
-    comparisons = 0;
-    faults = 0;
-    retries = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    wall_ns = 0.;
-    mem_peak = 0;
-  }
-
-let node_span node = match node.span with Some s -> s | None -> zero_like []
-
-let rec pp_node ppf ~depth node =
-  let s = node_span node in
-  if depth > 0 then begin
-    Format.fprintf ppf "%s%-*s %8d I/O (r %d / w %d)  %9d cmp  %8.2f ms  x%d"
-      (String.make (2 * (depth - 1)) ' ')
-      (max 1 (28 - (2 * (depth - 1))))
-      node.label (span_ios s) s.reads s.writes s.comparisons (s.wall_ns /. 1e6) s.calls;
-    (* Round compression only when parallel disks actually shortened the
-       schedule, so single-disk profiles keep their exact shape. *)
-    if s.rounds < span_ios s then Format.fprintf ppf "  [rounds %d]" s.rounds;
-    if s.faults > 0 || s.retries > 0 then
-      Format.fprintf ppf "  [faulted %d / retried %d]" s.faults s.retries;
-    if s.cache_hits > 0 || s.cache_misses > 0 then
-      Format.fprintf ppf "  [hit %d / miss %d]" s.cache_hits s.cache_misses;
-    Format.fprintf ppf "@."
-  end;
-  List.iter
-    (pp_node ppf ~depth:(depth + 1))
-    (List.sort
-       (fun a b -> Int.compare (span_ios (node_span b)) (span_ios (node_span a)))
-       node.children)
-
-let pp ppf t = pp_node ppf ~depth:0 (tree t)
+      let depth = List.length s.path - 1 and d = s.cost in
+      Format.fprintf ppf "%s%-*s %8d I/O (r %d / w %d)  %9d cmp  %8.2f ms  x%d"
+        (String.make (2 * depth) ' ')
+        (max 1 (28 - (2 * depth)))
+        (List.nth s.path depth) (span_ios s) d.Stats.d_reads d.Stats.d_writes
+        d.Stats.d_comparisons (s.wall_ns /. 1e6) s.calls;
+      (* Round compression only when parallel disks actually shortened the
+         schedule, so single-disk profiles keep their exact shape. *)
+      if d.Stats.d_rounds < span_ios s then
+        Format.fprintf ppf "  [rounds %d]" d.Stats.d_rounds;
+      if d.Stats.d_faults > 0 || d.Stats.d_retries > 0 then
+        Format.fprintf ppf "  [faulted %d / retried %d]" d.Stats.d_faults
+          d.Stats.d_retries;
+      if d.Stats.d_cache_hits > 0 || d.Stats.d_cache_misses > 0 then
+        Format.fprintf ppf "  [hit %d / miss %d]" d.Stats.d_cache_hits
+          d.Stats.d_cache_misses;
+      Format.fprintf ppf "@.")
+    (List.sort (fun a b -> compare (key a) (key b)) (spans t))
 
 (* ---- metrics bridge ---- *)
 
 let publish reg t =
   List.iter
     (fun s ->
-      let labels = [ ("span", path_name s.path) ] in
-      let g name help v = Metrics.set (Metrics.gauge reg ~help ~labels name) v in
-      g "span_ios" "I/Os inside the span (inclusive)" (float_of_int (span_ios s));
-      g "span_reads" "Reads inside the span" (float_of_int s.reads);
-      g "span_writes" "Writes inside the span" (float_of_int s.writes);
-      if s.rounds < span_ios s then
-        g "span_rounds" "Parallel I/O rounds inside the span" (float_of_int s.rounds);
-      g "span_comparisons" "Comparisons inside the span" (float_of_int s.comparisons);
-      g "span_faults" "Faulted attempts inside the span" (float_of_int s.faults);
-      g "span_retries" "Recovery re-attempts inside the span" (float_of_int s.retries);
-      if s.cache_hits > 0 || s.cache_misses > 0 then begin
-        g "span_cache_hits" "Buffer-pool hits inside the span" (float_of_int s.cache_hits);
-        g "span_cache_misses" "Buffer-pool misses inside the span"
-          (float_of_int s.cache_misses)
+      let labels = [ ("span", path_name s.path) ] and d = s.cost in
+      let g name help v =
+        Metrics.set (Metrics.gauge reg ~help ~labels name) (float_of_int v)
+      in
+      g "span_ios" "I/Os inside the span (inclusive)" (span_ios s);
+      g "span_reads" "Reads inside the span" d.Stats.d_reads;
+      g "span_writes" "Writes inside the span" d.Stats.d_writes;
+      if d.Stats.d_rounds < span_ios s then
+        g "span_rounds" "Parallel I/O rounds inside the span" d.Stats.d_rounds;
+      g "span_comparisons" "Comparisons inside the span" d.Stats.d_comparisons;
+      g "span_faults" "Faulted attempts inside the span" d.Stats.d_faults;
+      g "span_retries" "Recovery re-attempts inside the span" d.Stats.d_retries;
+      if d.Stats.d_cache_hits > 0 || d.Stats.d_cache_misses > 0 then begin
+        g "span_cache_hits" "Buffer-pool hits inside the span" d.Stats.d_cache_hits;
+        g "span_cache_misses" "Buffer-pool misses inside the span" d.Stats.d_cache_misses
       end;
-      g "span_mem_peak_words" "Peak memory words while the span was open"
-        (float_of_int s.mem_peak);
-      g "span_wall_ns" "Host wall-clock nanoseconds inside the span" s.wall_ns;
-      g "span_calls" "Times the span was entered" (float_of_int s.calls))
+      g "span_mem_peak_words" "Peak memory words while the span was open" s.mem_peak;
+      Metrics.set
+        (Metrics.gauge reg ~help:"Host wall-clock nanoseconds inside the span" ~labels
+           "span_wall_ns")
+        s.wall_ns;
+      g "span_calls" "Times the span was entered" s.calls)
     (spans t)

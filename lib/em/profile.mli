@@ -1,32 +1,32 @@
 (** Span-scoped profiling over the {!Phase} label tree.
 
-    A profiler attaches to a machine's {!Stats} through the
-    {!Stats.span_hooks} observer interface; from then on every
-    {!Phase.with_label} (and checkpoint/resume charge) is recorded as a
-    {e span} keyed on its full phase path.  Each span accumulates, across
-    all its invocations: block reads/writes, comparisons, fault and retry
-    overhead, the peak memory level observed while it was open, and host
+    Each machine's {!Stats} measures its own phase frames (see
+    {!Stats.push_phase}).  A profiler attaches to one or more machines
+    through the {!Stats.span_hooks} observer interface; from then on every
+    {!Phase.with_label} (and checkpoint/resume charge) closed on any of them
+    adds its cost to the {e span} keyed on its full phase path: block
+    reads/writes, comparisons, fault and retry overhead, and the peak memory
+    level observed while it was open.  The profiler itself adds host
     wall-clock time.  Attaching a profiler is free in the simulated cost
     model — golden I/O costs are byte-identical with or without one
     (property-tested). *)
 
 type span = {
   path : string list;  (** full phase path, outermost label first *)
-  mutable calls : int;  (** times the span was entered *)
-  mutable reads : int;
-  mutable writes : int;
-  mutable rounds : int;  (** parallel I/O rounds ([= reads + writes] at D = 1) *)
-  mutable comparisons : int;
-  mutable faults : int;
-  mutable retries : int;
-  mutable cache_hits : int;  (** buffer-pool hits (cached backends only) *)
-  mutable cache_misses : int;
+  mutable calls : int;  (** frames closed *)
+  mutable cost : Stats.delta;
+      (** reads, writes, rounds, comparisons, faults, retries and cache
+          hits/misses spent inside the span *)
   mutable wall_ns : float;  (** host wall-clock nanoseconds, inclusive *)
   mutable mem_peak : int;  (** max words in use while the span was open *)
 }
 (** Counters are {e inclusive}: a span's numbers cover its nested sub-spans.
-    A phase label re-entered while already open (direct recursion) bumps
-    [calls] only — the outermost open frame already accounts for its cost. *)
+    They sum the frames closed on every attached machine, and [mem_peak] is
+    the highest of them.  A label re-entered while already open (direct
+    recursion) nests a new path, e.g. [["rec"; "rec"]], so no frame is
+    counted twice.  [wall_ns] runs from the first entry of a path to the
+    exit that leaves it open on no attached machine, so a phase open on
+    P machines at once counts its wall time once. *)
 
 type t
 
@@ -34,8 +34,8 @@ val create : unit -> t
 
 val attach : t -> Stats.t -> unit
 (** Install the profiler's hooks on the machine (replacing any previously
-    attached hooks).  Attach before entering phases: spans already open are
-    not back-filled. *)
+    attached hooks).  One profiler may be attached to many machines.  Attach
+    before entering phases: frames already open are not counted. *)
 
 val detach : Stats.t -> unit
 (** Remove whatever hooks are attached to the machine. *)
@@ -49,7 +49,7 @@ val spans : t -> span list
 val span_ios : span -> int
 
 val path_name : string list -> string
-(** Join a span path with ["/"] (matches {!Stats.current_path}). *)
+(** Join a span path with ["/"] (matches the keys of {!Phase.report}). *)
 
 val pp : Format.formatter -> t -> unit
 (** Span-tree report: one line per span, indented by nesting, children

@@ -4,6 +4,49 @@ type span_hooks = {
   on_mem : int -> unit;
 }
 
+type snapshot = {
+  at_reads : int;
+  at_writes : int;
+  at_comparisons : int;
+  at_faults : int;
+  at_retries : int;
+  at_cache_hits : int;
+  at_cache_misses : int;
+  at_rounds : int;
+  at_comm_rounds : int;
+  at_comm_words : int;
+}
+
+type delta = {
+  d_reads : int;
+  d_writes : int;
+  d_comparisons : int;
+  d_faults : int;
+  d_retries : int;
+  d_cache_hits : int;
+  d_cache_misses : int;
+  d_rounds : int;
+  d_comm_rounds : int;
+  d_comm_words : int;
+}
+
+(* One distinct phase path.  [push_phase] interns each path once, so the
+   tree holds every path the machine has entered, children in first-entry
+   order.  A path is open at most once at a time (re-entering a label
+   nests a new path), so the open frame's snapshot and memory peak live in
+   the node itself. *)
+type phase_node = {
+  label : string;
+  stack : string list;  (* this path, innermost label first *)
+  parent : phase_node option;  (* [None] for the root, the empty path *)
+  mutable children : phase_node list;
+  mutable calls : int;
+  mutable cost : delta;  (* inclusive, closed frames only *)
+  mutable high : int;  (* highest [mem_in_use] seen by a closed frame *)
+  mutable snap : snapshot;  (* the open frame's entry point *)
+  mutable peak : int;  (* the open frame's highest [mem_in_use] so far *)
+}
+
 type t = {
   mutable reads : int;
   mutable writes : int;
@@ -29,13 +72,59 @@ type t = {
   mutable pool_words : int;
   mutable mem_peak : int;
   mutable phase_stack : string list;
-  phase_ios : (string, int) Hashtbl.t;
+  phase_root : phase_node;
+  mutable phase : phase_node;
+  mutable popped : delta;
   mutable hooks : span_hooks option;
   mutable reclaim : (int -> unit) option;
   mutable reclaimers : (int -> int) option ref list;
 }
 
+let zero_snapshot =
+  {
+    at_reads = 0;
+    at_writes = 0;
+    at_comparisons = 0;
+    at_faults = 0;
+    at_retries = 0;
+    at_cache_hits = 0;
+    at_cache_misses = 0;
+    at_rounds = 0;
+    at_comm_rounds = 0;
+    at_comm_words = 0;
+  }
+
+let delta_between later snap =
+  {
+    d_reads = later.at_reads - snap.at_reads;
+    d_writes = later.at_writes - snap.at_writes;
+    d_comparisons = later.at_comparisons - snap.at_comparisons;
+    d_faults = later.at_faults - snap.at_faults;
+    d_retries = later.at_retries - snap.at_retries;
+    d_cache_hits = later.at_cache_hits - snap.at_cache_hits;
+    d_cache_misses = later.at_cache_misses - snap.at_cache_misses;
+    d_rounds = later.at_rounds - snap.at_rounds;
+    d_comm_rounds = later.at_comm_rounds - snap.at_comm_rounds;
+    d_comm_words = later.at_comm_words - snap.at_comm_words;
+  }
+
+let zero_delta = delta_between zero_snapshot zero_snapshot
+
+let new_node label stack parent =
+  {
+    label;
+    stack;
+    parent;
+    children = [];
+    calls = 0;
+    cost = zero_delta;
+    high = 0;
+    snap = zero_snapshot;
+    peak = 0;
+  }
+
 let create () =
+  let root = new_node "" [] None in
   {
     reads = 0;
     writes = 0;
@@ -61,38 +150,13 @@ let create () =
     pool_words = 0;
     mem_peak = 0;
     phase_stack = [];
-    phase_ios = Hashtbl.create 16;
+    phase_root = root;
+    phase = root;
+    popped = zero_delta;
     hooks = None;
     reclaim = None;
     reclaimers = [];
   }
-
-let reset s =
-  s.reads <- 0;
-  s.writes <- 0;
-  s.comparisons <- 0;
-  s.faults <- 0;
-  s.retries <- 0;
-  s.cache_hits <- 0;
-  s.cache_misses <- 0;
-  s.cache_evictions <- 0;
-  s.allocated_blocks <- 0;
-  s.freed_blocks <- 0;
-  s.rounds <- 0;
-  Hashtbl.reset s.disk_ios;
-  s.window_depth <- 0;
-  Hashtbl.reset s.window_counts;
-  s.comm_rounds <- 0;
-  s.comm_words <- 0;
-  Hashtbl.reset s.shard_sent;
-  Hashtbl.reset s.shard_recv;
-  s.comm_depth <- 0;
-  s.comm_pending <- 0;
-  s.mem_in_use <- 0;
-  s.pool_words <- 0;
-  s.mem_peak <- 0;
-  s.phase_stack <- [];
-  Hashtbl.reset s.phase_ios
 
 let set_hooks s hooks = s.hooks <- hooks
 let hooks s = s.hooks
@@ -123,48 +187,6 @@ let run_reclaimers s deficit =
   in
   go 0 s.reclaimers
 
-let push_phase s label =
-  s.phase_stack <- label :: s.phase_stack;
-  match s.hooks with None -> () | Some h -> h.on_push s.phase_stack
-
-let pop_phase s =
-  match s.phase_stack with
-  | [] -> ()
-  | (_ :: rest) as before ->
-      (match s.hooks with None -> () | Some h -> h.on_pop before);
-      s.phase_stack <- rest
-
-let notify_mem s =
-  match s.hooks with None -> () | Some h -> h.on_mem s.mem_in_use
-
-(* A crash wipes RAM: whatever the interrupted computation had charged to the
-   ledger is gone.  The high-water mark survives — it already happened.  Open
-   phases are unwound one by one so an attached profiler sees balanced
-   enter/exit pairs. *)
-let wipe_memory s =
-  s.mem_in_use <- 0;
-  while s.phase_stack <> [] do
-    pop_phase s
-  done
-
-let current_phase s =
-  match s.phase_stack with [] -> "(other)" | label :: _ -> label
-
-(* The attribution key is the full phase path, outermost label first, so two
-   distinct paths sharing a leaf name stay distinct. *)
-let join_path stack = String.concat "/" (List.rev stack)
-let current_path s = match s.phase_stack with [] -> "(other)" | st -> join_path st
-
-let record_phase_io s =
-  let path = current_path s in
-  let previous = Option.value (Hashtbl.find_opt s.phase_ios path) ~default:0 in
-  Hashtbl.replace s.phase_ios path (previous + 1)
-
-let phase_report s =
-  Hashtbl.fold (fun path ios acc -> (path, ios) :: acc) s.phase_ios []
-  |> List.sort (fun (pa, a) (pb, b) ->
-         match Int.compare b a with 0 -> String.compare pa pb | c -> c)
-
 let ios s = s.reads + s.writes
 
 (* Round accounting.  Outside a scheduling window every metered I/O is its
@@ -175,7 +197,8 @@ let ios s = s.reads + s.writes
 let tbl_incr tbl key =
   Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
 
-let record_io s ~disk =
+let charge s ~write ~disk =
+  if write then s.writes <- s.writes + 1 else s.reads <- s.reads + 1;
   tbl_incr s.disk_ios disk;
   if s.window_depth > 0 then tbl_incr s.window_counts disk
   else s.rounds <- s.rounds + 1
@@ -257,19 +280,6 @@ let shard_report tbl =
 let sent_report s = shard_report s.shard_sent
 let recv_report s = shard_report s.shard_recv
 
-type snapshot = {
-  at_reads : int;
-  at_writes : int;
-  at_comparisons : int;
-  at_faults : int;
-  at_retries : int;
-  at_cache_hits : int;
-  at_cache_misses : int;
-  at_rounds : int;
-  at_comm_rounds : int;
-  at_comm_words : int;
-}
-
 let snapshot s =
   {
     at_reads = s.reads;
@@ -286,35 +296,97 @@ let snapshot s =
 
 let ios_since s snap = s.reads + s.writes - snap.at_reads - snap.at_writes
 let comparisons_since s snap = s.comparisons - snap.at_comparisons
+let delta s snap = delta_between (snapshot s) snap
+let delta_ios d = d.d_reads + d.d_writes
 
-type delta = {
-  d_reads : int;
-  d_writes : int;
-  d_comparisons : int;
-  d_faults : int;
-  d_retries : int;
-  d_cache_hits : int;
-  d_cache_misses : int;
-  d_rounds : int;
-  d_comm_rounds : int;
-  d_comm_words : int;
-}
-
-let delta s snap =
+let add_delta a b =
   {
-    d_reads = s.reads - snap.at_reads;
-    d_writes = s.writes - snap.at_writes;
-    d_comparisons = s.comparisons - snap.at_comparisons;
-    d_faults = s.faults - snap.at_faults;
-    d_retries = s.retries - snap.at_retries;
-    d_cache_hits = s.cache_hits - snap.at_cache_hits;
-    d_cache_misses = s.cache_misses - snap.at_cache_misses;
-    d_rounds = effective_rounds s - snap.at_rounds;
-    d_comm_rounds = effective_comm_rounds s - snap.at_comm_rounds;
-    d_comm_words = s.comm_words - snap.at_comm_words;
+    d_reads = a.d_reads + b.d_reads;
+    d_writes = a.d_writes + b.d_writes;
+    d_comparisons = a.d_comparisons + b.d_comparisons;
+    d_faults = a.d_faults + b.d_faults;
+    d_retries = a.d_retries + b.d_retries;
+    d_cache_hits = a.d_cache_hits + b.d_cache_hits;
+    d_cache_misses = a.d_cache_misses + b.d_cache_misses;
+    d_rounds = a.d_rounds + b.d_rounds;
+    d_comm_rounds = a.d_comm_rounds + b.d_comm_rounds;
+    d_comm_words = a.d_comm_words + b.d_comm_words;
   }
 
-let delta_ios d = d.d_reads + d.d_writes
+(* Phase attribution.  A push interns the path (its node keeps the shared
+   innermost-first stack, so a repeated push conses nothing) and opens a
+   frame: a snapshot plus a memory peak.  A pop adds the frame's delta into
+   the node's inclusive totals and hands it to [on_pop] through [popped].
+   No metered I/O touches any of this. *)
+let push_phase s label =
+  let parent = s.phase in
+  let node =
+    match List.find_opt (fun c -> String.equal c.label label) parent.children with
+    | Some c -> c
+    | None ->
+        let c = new_node label (label :: parent.stack) (Some parent) in
+        parent.children <- parent.children @ [ c ];
+        c
+  in
+  node.snap <- snapshot s;
+  node.peak <- s.mem_in_use;
+  s.phase <- node;
+  s.phase_stack <- node.stack;
+  match s.hooks with None -> () | Some h -> h.on_push node.stack
+
+let pop_phase s =
+  let node = s.phase in
+  match node.parent with
+  | None -> ()
+  | Some parent ->
+      let d = delta s node.snap in
+      node.calls <- node.calls + 1;
+      node.cost <- add_delta node.cost d;
+      node.high <- max node.high node.peak;
+      parent.peak <- max parent.peak node.peak;
+      s.popped <- d;
+      (match s.hooks with None -> () | Some h -> h.on_pop node.stack);
+      s.phase <- parent;
+      s.phase_stack <- parent.stack
+
+let notify_mem s =
+  if s.mem_in_use > s.phase.peak then s.phase.peak <- s.mem_in_use;
+  match s.hooks with None -> () | Some h -> h.on_mem s.mem_in_use
+
+(* A crash wipes RAM: whatever the interrupted computation had charged to the
+   ledger is gone.  The high-water mark survives — it already happened.  Open
+   phases are unwound one by one so an attached profiler sees balanced
+   enter/exit pairs. *)
+let wipe_memory s =
+  s.mem_in_use <- 0;
+  while s.phase != s.phase_root do
+    pop_phase s
+  done
+
+let current_phase s =
+  match s.phase_stack with [] -> "(other)" | label :: _ -> label
+
+let rec fold_phases f acc node =
+  List.fold_left (fun acc c -> fold_phases f (f acc c) c) acc node.children
+
+let phase_tree s = List.rev (fold_phases (fun acc n -> n :: acc) [] s.phase_root)
+
+(* The exclusive view: a path's own I/Os are its inclusive I/Os minus its
+   children's, where an open frame also counts what it has done so far.  The
+   root's inclusive I/Os are all of them; its own share is "(other)". *)
+let phase_report s =
+  let rec open_nodes n = match n.parent with None -> [] | Some p -> n :: open_nodes p in
+  let opened = open_nodes s.phase in
+  let inclusive n =
+    if n == s.phase_root then ios s
+    else delta_ios n.cost + if List.memq n opened then ios_since s n.snap else 0
+  in
+  let own n = inclusive n - List.fold_left (fun a c -> a + inclusive c) 0 n.children in
+  let entry n = (String.concat "/" (List.rev n.stack), own n) in
+  fold_phases (fun acc n -> entry n :: acc) [ ("(other)", own s.phase_root) ] s.phase_root
+  |> List.filter (fun (_, ios) -> ios > 0)
+  |> List.sort (fun (pa, a) (pb, b) ->
+         match Int.compare b a with 0 -> String.compare pa pb | c -> c)
 
 let pp_delta ppf d =
   Format.fprintf ppf "{ reads = %d; writes = %d; ios = %d; comparisons = %d }" d.d_reads

@@ -3,7 +3,10 @@
     The primary metric of the EM model is the number of block reads and
     writes.  We additionally count comparisons (the algorithms are
     comparison-based) and track the peak number of memory words in use, so
-    that violating the memory budget is observable. *)
+    that violating the memory budget is observable.  The machine's phase
+    tree attributes all of these to phase paths: every reader of phase
+    costs ({!Phase.report}, {!Metrics.publish_stats}, {!Profile}) reads
+    it. *)
 
 type span_hooks = {
   on_push : string list -> unit;
@@ -11,13 +14,60 @@ type span_hooks = {
           (innermost label first). *)
   on_pop : string list -> unit;
       (** Called before a phase label is popped, with the stack as it was
-          while the phase ran. *)
+          while the phase ran; [popped] then holds the frame's cost. *)
   on_mem : int -> unit;
       (** Called after the memory ledger grows, with the new [mem_in_use]. *)
 }
 (** Observer hooks for span-scoped profiling (see {!Profile}).  Hooks are
     observability machinery: they cost no simulated I/O and must not change
     what an algorithm does. *)
+
+type snapshot = {
+  at_reads : int;
+  at_writes : int;
+  at_comparisons : int;
+  at_faults : int;
+  at_retries : int;
+  at_cache_hits : int;
+  at_cache_misses : int;
+  at_rounds : int;
+  at_comm_rounds : int;
+  at_comm_words : int;
+}
+
+type delta = {
+  d_reads : int;
+  d_writes : int;
+  d_comparisons : int;
+  d_faults : int;
+  d_retries : int;
+  d_cache_hits : int;
+  d_cache_misses : int;
+  d_rounds : int;
+  d_comm_rounds : int;
+  d_comm_words : int;
+}
+(** Cost of a bracketed computation, as reported by {!Ctx.measured}.
+    [d_reads]/[d_writes] already include retry I/Os; [d_faults]/[d_retries]
+    break out how many of the attempts faulted or were re-attempts;
+    [d_cache_hits]/[d_cache_misses] how many of the reads were served by a
+    {!Backend.Cached} buffer pool. *)
+
+type phase_node = private {
+  label : string;
+  stack : string list;
+      (** the path, innermost label first: [phase_stack] while it is open *)
+  parent : phase_node option;  (** [None] for the root, the empty path *)
+  mutable children : phase_node list;  (** in first-entry order *)
+  mutable calls : int;  (** closed frames *)
+  mutable cost : delta;  (** inclusive cost of the closed frames *)
+  mutable high : int;  (** highest [mem_in_use] a closed frame saw *)
+  mutable snap : snapshot;  (** the open frame's entry snapshot *)
+  mutable peak : int;  (** the open frame's highest [mem_in_use] so far *)
+}
+(** One distinct phase path of this machine.  {!push_phase} interns each
+    path once; a path is open at most once at a time, because re-entering
+    a label nests a new path. *)
 
 type t = {
   mutable reads : int;
@@ -59,9 +109,12 @@ type t = {
           against the [M] capacity and in [mem_peak], but kept out of
           [mem_in_use] so "ledger drained" means what it says *)
   mutable mem_peak : int;  (** high-water mark of [mem_in_use + pool_words] *)
-  mutable phase_stack : string list;  (** innermost phase label first *)
-  phase_ios : (string, int) Hashtbl.t;
-      (** I/Os attributed per full phase path (see {!current_path}) *)
+  mutable phase_stack : string list;
+      (** innermost phase label first: the [stack] of [phase] *)
+  phase_root : phase_node;  (** the empty path; its subtree is every path entered *)
+  mutable phase : phase_node;  (** innermost open path ([phase_root] if none) *)
+  mutable popped : delta;
+      (** cost of the frame {!pop_phase} is closing; [on_pop] reads it *)
   mutable hooks : span_hooks option;  (** attached profiler, if any *)
   mutable reclaim : (int -> unit) option;
       (** memory-pressure hook: called by {!Mem.charge} with the word
@@ -73,8 +126,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
-(** Zero every counter.  Configuration ([hooks], [reclaim]) survives. *)
 
 val set_hooks : t -> span_hooks option -> unit
 (** Attach (or detach, with [None]) span observer hooks. *)
@@ -97,14 +148,17 @@ val run_reclaimers : t -> int -> int
     total released.  Called by {!Mem.charge} before the [reclaim] hook. *)
 
 val push_phase : t -> string -> unit
-(** Push a phase label and fire [on_push].  Use {!Phase.with_label} unless
-    you need unbalanced control over the stack. *)
+(** Push a phase label: open a frame on the path's node (a snapshot and a
+    memory peak), then fire [on_push].  Use {!Phase.with_label} unless you
+    need unbalanced control over the stack. *)
 
 val pop_phase : t -> unit
-(** Fire [on_pop] and pop the innermost label (no-op on an empty stack). *)
+(** Close the innermost frame: add its delta and peak into its node, set
+    [popped], fire [on_pop] and pop the label (no-op on an empty stack). *)
 
 val notify_mem : t -> unit
-(** Fire [on_mem] with the current ledger level (called by {!Mem}). *)
+(** Raise the innermost open frame's peak to [mem_in_use] and fire [on_mem]
+    (called by {!Mem}). *)
 
 val wipe_memory : t -> unit
 (** Simulate RAM loss on a crash: zero [mem_in_use] and unwind the phase
@@ -115,11 +169,12 @@ val wipe_memory : t -> unit
 val ios : t -> int
 (** [ios s] is [s.reads + s.writes], the total I/O cost. *)
 
-val record_io : t -> disk:int -> unit
-(** Attribute one metered I/O to [disk] (called by {!Device}).  Outside a
-    window the I/O is its own round; inside, it joins the open window's
-    per-disk tally.  Invariants per window: [ceil (sum / D) <= cost <= sum],
-    with [cost = sum] when all I/Os hit one disk (in particular at D = 1). *)
+val charge : t -> write:bool -> disk:int -> unit
+(** Count one metered block read (or write) landing on [disk] (called by
+    {!Device} and {!Checkpoint}).  Outside a window the I/O is its own
+    round; inside, it joins the open window's per-disk tally.  Invariants
+    per window: [ceil (sum / D) <= cost <= sum], with [cost = sum] when all
+    I/Os hit one disk (in particular at D = 1). *)
 
 val begin_window : t -> unit
 (** Open a parallel scheduling window.  Nested windows merge into the
@@ -185,19 +240,6 @@ val effective_rounds : t -> int
     [d_rounds] instead of deferring the whole window to whichever bracket
     straddles the close. *)
 
-type snapshot = {
-  at_reads : int;
-  at_writes : int;
-  at_comparisons : int;
-  at_faults : int;
-  at_retries : int;
-  at_cache_hits : int;
-  at_cache_misses : int;
-  at_rounds : int;
-  at_comm_rounds : int;
-  at_comm_words : int;
-}
-
 val snapshot : t -> snapshot
 
 val ios_since : t -> snapshot -> int
@@ -205,41 +247,24 @@ val ios_since : t -> snapshot -> int
 
 val comparisons_since : t -> snapshot -> int
 
-type delta = {
-  d_reads : int;
-  d_writes : int;
-  d_comparisons : int;
-  d_faults : int;
-  d_retries : int;
-  d_cache_hits : int;
-  d_cache_misses : int;
-  d_rounds : int;
-  d_comm_rounds : int;
-  d_comm_words : int;
-}
-(** Cost of a bracketed computation, as reported by {!Ctx.measured}.
-    [d_reads]/[d_writes] already include retry I/Os; [d_faults]/[d_retries]
-    break out how many of the attempts faulted or were re-attempts;
-    [d_cache_hits]/[d_cache_misses] how many of the reads were served by a
-    {!Backend.Cached} buffer pool. *)
-
 val delta : t -> snapshot -> delta
+val zero_delta : delta
+val add_delta : delta -> delta -> delta
 val delta_ios : delta -> int
 val pp_delta : Format.formatter -> delta -> unit
 
 val current_phase : t -> string
 (** Innermost active phase label, or ["(other)"]. *)
 
-val current_path : t -> string
-(** Full active phase path joined with ["/"], outermost label first, or
-    ["(other)"] when no phase is active.  This is the attribution key of
-    [phase_ios]: two paths sharing a leaf label (e.g. ["sort/merge"] vs
-    ["multiselect/merge"]) are kept distinct. *)
-
-val record_phase_io : t -> unit
-(** Attribute one I/O to the current phase path (called by {!Device}). *)
+val phase_tree : t -> phase_node list
+(** Every path entered so far, parents before children, siblings in
+    first-entry order. *)
 
 val phase_report : t -> (string * int) list
-(** Per-phase-path I/O counts, largest first (ties by path).  See {!Phase}. *)
+(** Each path's own I/Os — its inclusive I/Os minus its children's, open
+    frames counting what they have done so far — keyed by the labels joined
+    with ["/"], outermost first, or ["(other)"] for I/O outside every
+    phase.  Nonzero entries only, largest first (ties by path).  See
+    {!Phase}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -496,7 +496,9 @@ let test_scheduler_failure () =
    partition of a 3000-element permutation into 6 parts, M = 256, B = 16). *)
 
 (* One profiler attached to all 8 shards, as a traced benchmark pass does:
-   every span's (path, calls, reads, writes, comparisons), digested. *)
+   every span's (path, calls, reads, writes, comparisons), digested.  The
+   figures sum all shards' frames; "one profiler on P shards sums their
+   trees" checks them against each shard's own phase tree. *)
 let profile_spans_digest () =
   let shards = 8 in
   let t : int Core.Cluster.t = Core.Cluster.create ~shards (Tu.params ()) in
@@ -512,8 +514,9 @@ let profile_spans_digest () =
   let lines =
     List.map
       (fun (s : Em.Profile.span) ->
-        Printf.sprintf "%s %d %d %d %d" (Em.Profile.path_name s.path) s.calls s.reads s.writes
-          s.comparisons)
+        let d = s.cost in
+        Printf.sprintf "%s %d %d %d %d" (Em.Profile.path_name s.path) s.calls d.Em.Stats.d_reads
+          d.Em.Stats.d_writes d.Em.Stats.d_comparisons)
       (Em.Profile.spans prof)
   in
   (List.length lines, Digest.to_hex (Digest.string (String.concat "\n" lines)))
@@ -544,10 +547,59 @@ let fault_plan_costs () =
   Core.Cluster.close t;
   costs
 
+(* One profiler attached to all P shards sums, per path, what each shard's
+   own phase tree measured: reads, writes, comparisons and closed frames,
+   with the highest memory peak.  [all_phases] opens its labels on every
+   shard at once, so each shard's frames of them must count. *)
+let test_profile_sums_shard_trees () =
+  (* reads, writes, comparisons, calls, memory peak *)
+  let figures calls (d : Em.Stats.delta) peak =
+    [ d.d_reads; d.d_writes; d.d_comparisons; calls; peak ]
+  in
+  let merge a b = List.mapi (fun i (x, y) -> if i = 4 then max x y else x + y) (List.combine a b) in
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun (name, run) ->
+          let t : int Core.Cluster.t = Core.Cluster.create ~shards (Tu.params ()) in
+          let prof = Em.Profile.create () in
+          for i = 0 to shards - 1 do
+            Em.Profile.attach prof (Core.Cluster.ctx t i).Em.Ctx.stats
+          done;
+          run t (Core.Cluster.place t (Tu.random_perm ~seed:8 3000));
+          let summed = Hashtbl.create 16 in
+          for i = 0 to shards - 1 do
+            List.iter
+              (fun (n : Em.Stats.phase_node) ->
+                let path = List.rev n.stack in
+                let mine = figures n.calls n.cost n.high in
+                Hashtbl.replace summed path
+                  (Option.fold ~none:mine ~some:(merge mine) (Hashtbl.find_opt summed path)))
+              (Em.Stats.phase_tree (Core.Cluster.ctx t i).Em.Ctx.stats)
+          done;
+          Core.Cluster.close t;
+          let spans = Em.Profile.spans prof in
+          let what = Printf.sprintf "%s, P = %d" name shards in
+          Tu.check_int (what ^ ": one span per path") (Hashtbl.length summed)
+            (List.length spans);
+          List.iter
+            (fun (s : Em.Profile.span) ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: %s reads, writes, comparisons, calls, peak" what
+                   (Em.Profile.path_name s.path))
+                (Hashtbl.find summed s.path)
+                (figures s.calls s.cost s.mem_peak))
+            spans)
+        [
+          ("partition", fun t parts -> ignore (Core.Cluster.partition Tu.icmp t parts ~k:6));
+          ("sort", fun t parts -> ignore (Core.Cluster.sort Tu.icmp t parts));
+        ])
+    [ 2; 4; 8 ]
+
 let test_profile_fallback () =
   let n, digest = profile_spans_digest () in
   Tu.check_int "span count" 8 n;
-  Alcotest.(check string) "spans (labels, calls, I/Os, comparisons)" "e49df3034758ce9e36bea83e284b1a89" digest
+  Alcotest.(check string) "spans (labels, calls, I/Os, comparisons)" "9770fa98588f4e678c0f13e3c4a87615" digest
 
 let test_fault_fallback () =
   Alcotest.(check (list (list int)))
@@ -579,4 +631,6 @@ let suite =
       test_scheduler_failure;
     Alcotest.test_case "scheduler: profiles fall back to one worker" `Quick test_profile_fallback;
     Alcotest.test_case "scheduler: fault plans fall back to one worker" `Quick test_fault_fallback;
+    Alcotest.test_case "one profiler on P shards sums their trees" `Quick
+      test_profile_sums_shard_trees;
   ]

@@ -181,6 +181,24 @@ let test_checkpoint_ios_metered () =
   Tu.check_bool "save ios counted" true (out.Emalg.Restart.save_ios > 0);
   Tu.check_bool "load ios counted" true (out.Emalg.Restart.load_ios > 0)
 
+(* Checkpoint I/Os go through the device's charge: at D = 1 each is its own
+   round, and block i of the region lands on disk i mod D. *)
+let test_checkpoint_ios_are_rounds () =
+  List.iter
+    (fun (disks, per_disk) ->
+      let ctx : int Em.Ctx.t =
+        Em.Ctx.create ~backend:Em.Backend.Sim ~disks (Em.Params.create ~mem:256 ~block:16)
+      in
+      let cp = Em.Checkpoint.create ctx in
+      Em.Checkpoint.save cp ~words:100 ();
+      ignore (Em.Checkpoint.load cp);
+      let s = ctx.Em.Ctx.stats in
+      Tu.check_int "7 blocks saved, 7 loaded" 14 (Em.Stats.ios s);
+      Tu.check_int "one round per unwindowed I/O" (Em.Stats.ios s) s.Em.Stats.rounds;
+      Alcotest.(check (list (pair int int))) "I/Os per disk" per_disk (Em.Stats.disk_report s);
+      Em.Ctx.close ctx)
+    [ (1, [ (0, 14) ]); (4, [ (0, 4); (1, 4); (2, 4); (3, 2) ]) ]
+
 let suite =
   [
     Alcotest.test_case "restartable sort, crash-free" `Quick test_sort_crash_free;
@@ -195,4 +213,5 @@ let suite =
       test_select_matches_multi_select;
     Alcotest.test_case "checkpoint/resume I/Os are metered" `Quick
       test_checkpoint_ios_metered;
+    Alcotest.test_case "checkpoint I/Os are rounds" `Quick test_checkpoint_ios_are_rounds;
   ]
