@@ -124,13 +124,27 @@ faults:
 #   dune exec bin/em_repro.exe -- serve -n 20000 --mem 4096 --block 64 \
 #     --backend sim --disks 1 --seed 42 < test/golden/serve.script \
 #     | sed -E 's/"wall":\{[^}]*\}/"wall":{}/g' > test/golden/serve.expected
+# The second run replays the script with a flight dir and a 64-event trace
+# ring: its transcript must match the same golden, and its shutdown
+# post-mortem must hold between 1 and 64 trace events.
 serve-smoke:
 	dune exec bin/em_repro.exe -- serve -n 20000 --mem 4096 --block 64 \
 	  --backend sim --disks 1 --seed 42 \
 	  < test/golden/serve.script \
 	  | sed -E 's/"wall":\{[^}]*\}/"wall":{}/g' \
 	  | diff test/golden/serve.expected -
-	@echo "serve-smoke: transcript matches the golden."
+	rm -rf _build/flight-smoke
+	dune exec bin/em_repro.exe -- serve -n 20000 --mem 4096 --block 64 \
+	  --backend sim --disks 1 --seed 42 --flight-dir _build/flight-smoke --trace-ring 64 \
+	  < test/golden/serve.script \
+	  | sed -E 's/"wall":\{[^}]*\}/"wall":{}/g' \
+	  | diff test/golden/serve.expected -
+	python3 -c 'import glob, json, sys; \
+	  d = json.load(open(sorted(glob.glob("_build/flight-smoke/postmortem-*.json"))[-1]))["postmortem"]; \
+	  n = len(d["trace_events"]); \
+	  sys.exit(not (d["reason"] == "shutdown" and 1 <= n <= 64))' \
+	  || { echo "serve-smoke: shutdown post-mortem must hold 1..64 trace events"; exit 1; }
+	@echo "serve-smoke: transcript matches the golden; --trace-ring bounds the post-mortem."
 
 # Telemetry smoke: same pinned serve run streaming --telemetry frames to a
 # file; the frames' "cost" objects are byte-deterministic, so after emptying

@@ -38,17 +38,12 @@ type measurement = {
 }
 
 (* Run [f] on a fresh machine loaded with a workload; measure only [f].
-   A constant-space counting sink rides on the tracer so the seek profile is
-   exact even for runs far longer than the default ring buffer.  [disks]
-   puts D parallel disks under the machine (default 1, or EM_DISKS). *)
+   The seek count is the tracer's own, which covers the whole run (workload
+   placement included).  [disks] puts D parallel disks under the machine
+   (default 1, or EM_DISKS). *)
 let measure ?(machine = default_machine) ?(kind = Core.Workload.Pi_hard) ?disks
     ~seed ~n f =
-  let trace = Em.Trace.create () in
-  let seeks, read_seeks =
-    Em.Trace.counter (fun e -> e.Em.Trace.locality = Em.Trace.Random)
-  in
-  Em.Trace.add_sink trace seeks;
-  let ctx : int Em.Ctx.t = Em.Ctx.create ~trace ?disks (params machine) in
+  let ctx : int Em.Ctx.t = Em.Ctx.create ?disks (params machine) in
   let v = Core.Workload.vec ctx kind ~seed ~n in
   let t0 = Unix.gettimeofday () in
   let (), d = Em.Ctx.measured ctx (fun () -> f ctx v) in
@@ -60,7 +55,7 @@ let measure ?(machine = default_machine) ?(kind = Core.Workload.Pi_hard) ?disks
     rounds = d.Em.Stats.d_rounds;
     comparisons = d.Em.Stats.d_comparisons;
     peak_mem = ctx.Em.Ctx.stats.Em.Stats.mem_peak;
-    random_ios = read_seeks ();
+    random_ios = Em.Trace.seeks ctx.Em.Ctx.trace;
     wall_ns;
   }
 

@@ -261,12 +261,7 @@ let intermixed () =
           let counts = Array.make l 0 in
           Array.iter (fun (_, g) -> counts.(g) <- counts.(g) + 1) pairs;
           let targets = Array.map (fun c -> (c + 1) / 2) counts in
-          let trace = Em.Trace.create () in
-          let seek_sink, seeks =
-            Em.Trace.counter (fun e -> e.Em.Trace.locality = Em.Trace.Random)
-          in
-          Em.Trace.add_sink trace seek_sink;
-          let ctx : int Em.Ctx.t = Em.Ctx.create ~trace (Exp.params machine) in
+          let ctx : int Em.Ctx.t = Em.Ctx.create (Exp.params machine) in
           let pctx : (int * int) Em.Ctx.t = Em.Ctx.linked ctx in
           let d = Em.Vec.of_array pctx pairs in
           let t0 = Unix.gettimeofday () in
@@ -283,7 +278,7 @@ let intermixed () =
               rounds = cost.Em.Stats.d_rounds;
               comparisons = cost.Em.Stats.d_comparisons;
               peak_mem = ctx.Em.Ctx.stats.Em.Stats.mem_peak;
-              random_ios = seeks ();
+              random_ios = Em.Trace.seeks ctx.Em.Ctx.trace;
               wall_ns;
             }
           in

@@ -17,7 +17,6 @@ type common = {
   async : bool option;
   seed : int;
   workload : Core.Workload.kind;
-  trace_ring : int option;
 }
 
 let mem_t =
@@ -116,22 +115,13 @@ let async_t =
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print debug logs of the recursions.")
 
-let trace_ring_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "trace-ring" ] ~docv:"EVENTS"
-        ~doc:
-          "Capacity of the in-memory I/O trace ring (bounds flight-recorder depth).  When \
-           omitted, honours the EM_TRACE_RING environment variable (default 8192).")
-
 let common_t =
-  let make verbose backend mem block disks async seed workload trace_ring =
-    { verbose; backend; mem; block; disks; async; seed; workload; trace_ring }
+  let make verbose backend mem block disks async seed workload =
+    { verbose; backend; mem; block; disks; async; seed; workload }
   in
   Term.(
     const make $ verbose_t $ backend_t $ mem_t $ block_t $ disks_t $ async_t $ seed_t
-    $ workload_t $ trace_ring_t)
+    $ workload_t)
 
 (* ---- shared fault/recovery flags (faults, serve, soak) ---- *)
 
@@ -200,11 +190,8 @@ let setup_logs c =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if c.verbose then Some Logs.Debug else Some Logs.Warning)
 
-let make_trace c = Em.Trace.create ?ring_capacity:c.trace_ring ()
-
 let make_ctx ?trace c : int Em.Ctx.t =
-  let trace = match trace with Some t -> t | None -> make_trace c in
-  Em.Ctx.create ~trace ?backend:c.backend ?async:c.async ?disks:c.disks
+  Em.Ctx.create ?trace ?backend:c.backend ?async:c.async ?disks:c.disks
     (Em.Params.create ~mem:c.mem ~block:c.block)
 
 let workload_vec c ctx ~n = Core.Workload.vec ctx c.workload ~seed:c.seed ~n

@@ -254,9 +254,8 @@ let cluster_report t ~algo_name ~boundaries (ag : int Core.Cluster.agreement opt
 
 let run_cluster c algo n k ranks eps shards fault_seed fault_p fault_kinds max_retries =
   setup_logs c;
-  let trace = make_trace c in
   let t : int Core.Cluster.t =
-    Core.Cluster.create ~trace ?backend:c.backend ?disks:c.disks ?shards
+    Core.Cluster.create ?backend:c.backend ?disks:c.disks ?shards
       (Em.Params.create ~mem:c.mem ~block:c.block)
   in
   let p = Core.Cluster.size t in
@@ -415,7 +414,7 @@ let jsonl_t =
 
 let run_trace c algo n k a b ranks jsonl =
   setup_logs c;
-  let trace = make_trace c in
+  let trace = Em.Trace.create () in
   let collect, collected = Em.Trace.collector () in
   Em.Trace.add_sink trace collect;
   let jsonl_oc = Option.map open_out jsonl in
@@ -524,7 +523,7 @@ let print_restarts (o : _ Emalg.Restart.outcome) =
 let run_faults c algo n k ranks fault_seed p kinds crash_every max_retries verify_writes
     restartable =
   setup_logs c;
-  let trace = make_trace c in
+  let trace = Em.Trace.create () in
   let collect, collected = Em.Trace.collector () in
   Em.Trace.add_sink trace collect;
   let ctx = make_ctx ~trace c in
@@ -728,16 +727,11 @@ let observed_algo_t =
     & info [] ~docv:"ALGO"
         ~doc:"Algorithm to observe: splitters, partition, multiselect, quantiles or sort.")
 
-(* Run [algo] with a span profiler and a seek-counting trace sink attached.
-   Returns the machine, the profiler, the measured cost delta, the seek
-   count and — when the algorithm has a Table 1 row — its (row, spec). *)
+(* Run [algo] with a span profiler attached.  Returns the machine, the
+   profiler, the measured cost delta, the tracer's seek count and — when the
+   algorithm has a Table 1 row — its (row, spec). *)
 let run_observed c ~algo ~n ~k ~a ~b ~ranks () =
-  let trace = make_trace c in
-  let seek_sink, seeks =
-    Em.Trace.counter (fun e -> e.Em.Trace.locality = Em.Trace.Random)
-  in
-  Em.Trace.add_sink trace seek_sink;
-  let ctx = make_ctx ~trace c in
+  let ctx = make_ctx c in
   let profiler = Em.Profile.create () in
   Em.Profile.attach profiler ctx.Em.Ctx.stats;
   let v = workload_vec c ctx ~n in
@@ -788,7 +782,7 @@ let run_observed c ~algo ~n ~k ~a ~b ~ranks () =
           ( "sort",
             Em.Ctx.measured ctx (fun () -> Em.Vec.free (Emalg.External_sort.sort cmp v)) ) )
   in
-  (ctx, profiler, cost, seeks (), table1_row, name)
+  (ctx, profiler, cost, Em.Trace.seeks ctx.Em.Ctx.trace, table1_row, name)
 
 let format_t =
   Arg.(

@@ -128,6 +128,16 @@ let flight_dir_t =
            metrics snapshot) into DIR on every typed error reply, budget \
            abort, crash, and at shutdown.")
 
+let trace_ring_t =
+  Arg.(
+    value
+    & opt int Em.Flight_recorder.default_trace_ring
+    & info [ "trace-ring" ] ~docv:"EVENTS"
+        ~doc:
+          "Depth of the I/O trace ring that $(b,--flight-dir) post-mortems \
+           slice their trace events from.  No ring is kept without \
+           $(b,--flight-dir).")
+
 let flight_capacity_t =
   Arg.(
     value
@@ -193,7 +203,7 @@ let serve_socket ~should_stop srv path =
 
 let run c n socket state restore checkpoint_every io_budget fault_p fault_seed fault_kinds
     max_retries telemetry_file telemetry_socket telemetry_every telemetry_seconds flight_dir
-    flight_capacity strict_bounds drift_ceiling =
+    flight_capacity trace_ring strict_bounds drift_ceiling =
   Cli_args.setup_logs c;
   let ctx = Cli_args.make_ctx c in
   Cli_args.arm_faults ctx ~max_retries ~fault_p ~fault_seed ~fault_kinds;
@@ -236,8 +246,8 @@ let run c n socket state restore checkpoint_every io_budget fault_p fault_seed f
   let srv =
     try
       Core.Serve.create ?checkpoint_every ?io_budget ~max_retries ?state_path:state ~restore
-        ?telemetry ?flight_capacity ?flight_dir ?drift_ceiling ~meta ctx v
-    with Failure msg ->
+        ?telemetry ?flight_capacity ?flight_dir ~trace_ring ?drift_ceiling ~meta ctx v
+    with Failure msg | Invalid_argument msg ->
       Printf.eprintf "%s\n%!" msg;
       exit 1
   in
@@ -291,4 +301,4 @@ let cmd =
       $ Cli_args.fault_p_t ~default:0. ()
       $ Cli_args.fault_seed_t $ Cli_args.fault_kinds_t $ Cli_args.max_retries_t
       $ telemetry_t $ telemetry_socket_t $ telemetry_every_t $ telemetry_seconds_t
-      $ flight_dir_t $ flight_capacity_t $ strict_bounds_t $ drift_ceiling_t)
+      $ flight_dir_t $ flight_capacity_t $ trace_ring_t $ strict_bounds_t $ drift_ceiling_t)

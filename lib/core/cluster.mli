@@ -36,8 +36,9 @@ val create :
   ?shards:int ->
   Em.Params.t ->
   'a t
-(** [P] fresh machines sharing one tracer (so {!Em.Trace_report} rollups
-    see the whole cluster) and a zeroed communication ledger.  [shards]
+(** [P] fresh machines sharing one tracer ([trace], or a sinkless
+    {!Em.Trace.create}; {!Em.Trace_report} rollups over its events see the
+    whole cluster) and a zeroed communication ledger.  [shards]
     defaults to {!default_shards}; the remaining options are forwarded to
     every {!Em.Ctx.create}.  A [P = 1] cluster attaches no shard ids at
     all, so its traces and goldens are bit-for-bit those of a plain single

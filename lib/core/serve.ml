@@ -102,7 +102,6 @@ let ctx t = t.ctx
 let input t = t.input
 let crashed t = t.crashed
 let drift t = t.drift
-let flight_recorder t = t.recorder
 let flight_dumps t = t.flight_dumps
 let queries_admitted t = t.next_id - 1
 
@@ -236,8 +235,13 @@ let mirror_state srv =
   | _ -> ()
 
 let create ?checkpoint_every ?io_budget ?(max_retries = 3) ?state_path
-    ?(restore = false) ?telemetry ?flight_capacity ?flight_dir ?drift_ceiling
+    ?(restore = false) ?telemetry ?flight_capacity ?flight_dir
+    ?(trace_ring = Em.Flight_recorder.default_trace_ring) ?drift_ceiling
     ?(clock = Unix.gettimeofday) ~meta ctx v =
+  (* Post-mortems slice their trace events out of a ring; nothing else
+     reads one, so it is attached only when they can be written. *)
+  if flight_dir <> None then
+    Em.Trace.add_sink ctx.Em.Ctx.trace (Em.Trace.ring_sink ~capacity:trace_ring);
   let cmp = Em.Ctx.counted ctx icmp in
   let profiler = Em.Profile.create () in
   Em.Profile.attach profiler ctx.Em.Ctx.stats;

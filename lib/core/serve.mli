@@ -60,6 +60,7 @@ val create :
   ?telemetry:Em.Telemetry.t ->
   ?flight_capacity:int ->
   ?flight_dir:string ->
+  ?trace_ring:int ->
   ?drift_ceiling:float ->
   ?clock:(unit -> float) ->
   meta:meta ->
@@ -80,7 +81,10 @@ val create :
     {!finalize}); [flight_capacity] sizes the flight-recorder journal
     (default {!Em.Flight_recorder.default_capacity}); [flight_dir] enables
     post-mortem dumps ([postmortem-NNN.json], created on demand) on typed
-    error replies, budget aborts, crashes and shutdown; [drift_ceiling]
+    error replies, budget aborts, crashes and shutdown, and attaches a ring
+    sink of [trace_ring] events (default
+    {!Em.Flight_recorder.default_trace_ring}) to [ctx]'s tracer for them to
+    slice; without [flight_dir] no ring is attached.  [drift_ceiling]
     overrides {!Drift.default_ceiling}; [clock] (default
     [Unix.gettimeofday]) is the wall clock, injectable for deterministic
     tests.  With none of the optional arguments the server's protocol
@@ -108,7 +112,6 @@ val drift : t -> Drift.t
 (** The session's bound-drift watchdog ([serve --strict-bounds] exits
     nonzero when it {!Drift.tripped}). *)
 
-val flight_recorder : t -> Em.Flight_recorder.t
 val flight_dumps : t -> int
 (** Post-mortem files written to [flight_dir] so far. *)
 

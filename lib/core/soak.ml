@@ -113,6 +113,10 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
     Em.Ctx.inject ctx
       (Em.Fault.seeded ~seed:cfg.fault_seed ~p:cfg.fault_p cfg.fault_kinds)
   end;
+  (* Kill post-mortems slice their trace events out of a ring. *)
+  if flight_dir <> None then
+    Em.Trace.add_sink ctx.Em.Ctx.trace
+      (Em.Trace.ring_sink ~capacity:Em.Flight_recorder.default_trace_ring);
   let v = Workload.vec ctx Workload.Random_perm ~seed:cfg.seed ~n:cfg.n in
   let cmp = Em.Ctx.counted ctx Int.compare in
   let session = ref (Emalg.Online_select.open_session cmp ctx v) in

@@ -37,11 +37,6 @@ val exact_quantiles : ('a -> 'a -> int) -> 'a Em.Vec.t -> k:int -> 'a Em.Vec.t
     convenience.  Routed through {!Multi_select.select_vec}, i.e. a batch
     drain of an {!Emalg.Online_select} session. *)
 
-val quantiles : ('a -> 'a -> int) -> 'a Em.Vec.t -> k:int -> 'a Em.Vec.t
-[@@deprecated "use Splitters.exact_quantiles"]
-(** Former name of {!exact_quantiles}; kept as a shim so existing examples
-    keep compiling. *)
-
 val quantile_ranks : n:int -> k:int -> int array
 (** The even cut ranks [ceil (i * n / k)] for [i = 1 .. k-1] — the
     [1/K]-quantile rank plan used by the shortcuts and baselines. *)

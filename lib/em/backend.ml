@@ -20,8 +20,6 @@ type 'a t = {
   free : int -> unit;  (* recycle the slot; subsequent [load] is [None] *)
   probe : int -> Trace.cache option;  (* pre-read residency check; [None] = uncached *)
   prefetch : int -> unit;  (* advisory: start fetching a slot's bytes early *)
-  pin : int -> unit;  (* protect a resident page from eviction (no-op if uncached) *)
-  unpin : int -> unit;
   flush : unit -> unit;  (* write back dirty pages / fsync to stable storage *)
   close : unit -> unit;  (* release OS resources; idempotent *)
 }
@@ -105,8 +103,6 @@ let sim ?(slots = 64) ?disks () =
         free_slot a s);
     probe = (fun _ -> None);
     prefetch = (fun _ -> ());
-    pin = (fun _ -> ());
-    unpin = (fun _ -> ());
     flush = (fun () -> ());
     close = (fun () -> ());
   }
@@ -250,8 +246,6 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
             free_slot a s);
         probe = (fun _ -> None);
         prefetch = (fun _ -> ());
-        pin = (fun _ -> ());
-        unpin = (fun _ -> ());
         flush =
           (fun () ->
             check_open ();
@@ -348,8 +342,6 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
                 (Io_pool.run pool ~key:(key s) (fun () ->
                      if !closed then failwith "Backend.file: backend is closed"
                      else read_raw s)));
-        pin = (fun _ -> ());
-        unpin = (fun _ -> ());
         flush =
           (fun () ->
             check_open ();
@@ -369,7 +361,6 @@ module Pool = struct
     owner : int;
     slot : int;
     words : int;  (* charged to the Mem ledger while resident *)
-    mutable pins : int;
     mutable stamp : int;  (* LRU clock value of the last touch *)
     evict : unit -> unit;  (* write back (if dirty) and drop the owner's page *)
   }
@@ -392,11 +383,9 @@ module Pool = struct
       let victim =
         Hashtbl.fold
           (fun _ f best ->
-            if f.pins > 0 then best
-            else
-              match best with
-              | Some b when b.stamp <= f.stamp -> best
-              | _ -> Some f)
+            match best with
+            | Some b when b.stamp <= f.stamp -> best
+            | _ -> Some f)
           t.frames None
       in
       match victim with
@@ -454,16 +443,8 @@ module Pool = struct
         t.clock <- t.clock + 1;
         f.stamp <- t.clock
 
-  let pin t ~owner ~slot =
-    match find t ~owner ~slot with None -> () | Some f -> f.pins <- f.pins + 1
-
-  let unpin t ~owner ~slot =
-    match find t ~owner ~slot with
-    | None -> ()
-    | Some f -> if f.pins > 0 then f.pins <- f.pins - 1
-
-  (* Admission is opportunistic: when every frame is pinned, or when even
-     after reclaim the ledger cannot absorb one more page, the caller simply
+  (* Admission is opportunistic: when even after reclaim the pool is full
+     or the ledger cannot absorb one more page, the caller simply
      bypasses the cache (pass-through I/O) instead of failing — the
      [mem_peak <= M] property must hold whatever the backend. *)
   let admit t ~owner ~slot ~evict =
@@ -478,11 +459,11 @@ module Pool = struct
       | () ->
           t.clock <- t.clock + 1;
           Hashtbl.replace t.frames (owner, slot)
-            { owner; slot; words; pins = 0; stamp = t.clock; evict };
+            { owner; slot; words; stamp = t.clock; evict };
           true
       | exception Mem.Memory_exceeded _ -> false
 
-  (* Evict every unpinned frame (write-back included), returning their words
+  (* Evict every frame (write-back included), returning their words
      to the ledger.  End-of-run teardown and leak accounting. *)
   let drop_all t = ignore (reclaim_words t max_int)
 
@@ -549,9 +530,6 @@ let cached ~pool inner =
     probe = (fun slot -> Some (if Hashtbl.mem pages slot then Trace.Hit else Trace.Miss));
     prefetch =
       (fun slot -> if not (Hashtbl.mem pages slot) then inner.prefetch slot);
-    pin =
-      (fun slot -> if Hashtbl.mem pages slot then Pool.pin pool ~owner ~slot);
-    unpin = (fun slot -> Pool.unpin pool ~owner ~slot);
     flush =
       (fun () ->
         Hashtbl.iter

@@ -38,8 +38,6 @@ type 'a t = {
           {!field-load} of the same slot consumes the staged bytes instead
           of blocking on a fresh seek.  Never changes what a load returns —
           only when the wall-clock wait happens. *)
-  pin : int -> unit;  (** protect a resident page from eviction (no-op if uncached) *)
-  unpin : int -> unit;
   flush : unit -> unit;  (** write back dirty pages / [fsync] to stable storage *)
   close : unit -> unit;  (** release OS resources; idempotent *)
 }
@@ -106,10 +104,10 @@ val default_slot_bytes : Params.t -> int
 
     Frames are keyed by [(owner, slot)] where [owner] identifies the client
     backend, replaced LRU, and charged [B] words each against the {!Mem}
-    ledger while resident.  Admission is {e opportunistic}: when every frame
-    is pinned or the ledger cannot absorb another page even after reclaim,
-    the would-be admission is simply bypassed (pass-through I/O) — caching
-    must never make an algorithm exceed [M].  Conversely, the pool installs
+    ledger while resident.  Admission is {e opportunistic}: when the ledger
+    cannot absorb another page even after reclaim, the would-be admission
+    is simply bypassed (pass-through I/O) — caching must never make an
+    algorithm exceed [M].  Conversely, the pool installs
     a {!Stats.set_reclaim} hook so that an algorithm's own memory pressure
     evicts cache pages before [Memory_exceeded] is raised. *)
 module Pool : sig
@@ -131,15 +129,13 @@ module Pool : sig
   (** Fresh owner id for one cached backend. *)
 
   val admit : t -> owner:int -> slot:int -> evict:(unit -> unit) -> bool
-  (** Try to make [(owner, slot)] resident, evicting LRU unpinned frames as
-      needed.  [false] = bypass (pool pinned solid, or ledger full). *)
+  (** Try to make [(owner, slot)] resident, evicting LRU frames as needed.
+      [false] = bypass (ledger full). *)
 
   val touch : t -> owner:int -> slot:int -> unit
-  val pin : t -> owner:int -> slot:int -> unit
-  val unpin : t -> owner:int -> slot:int -> unit
 
   val drop_all : t -> unit
-  (** Evict every unpinned frame (write-back included), returning their
+  (** Evict every frame (write-back included), returning their
       words to the {!Mem} ledger.  End-of-run teardown. *)
 
   val forget : t -> owner:int -> slot:int -> unit

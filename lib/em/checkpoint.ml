@@ -70,7 +70,6 @@ let load t =
       t.load_ios <- t.load_ios + n;
       Some state
 
-let peek t = t.slot
 let saves t = t.saves
 let loads t = t.loads
 let save_ios t = t.save_ios

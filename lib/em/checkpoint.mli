@@ -32,9 +32,6 @@ val load : 's t -> 's option
 (** The last saved state, charging [ceil(words/B)] reads (at least one);
     [None] — and no charge — if nothing was ever saved. *)
 
-val peek : 's t -> 's option
-(** The slot without any I/O charge: for assertions and tests only. *)
-
 val saves : 's t -> int
 val loads : 's t -> int
 

@@ -19,8 +19,9 @@ val create :
   ?async:bool -> ?io_pool:Io_pool.t -> ?file_delay:(unit -> unit) ->
   ?disks:int -> ?shard:int -> Params.t -> 'a t
 (** Fresh machine with zeroed counters.  Pass [~trace] to route I/O events
-    into a tracer you configured (extra sinks, larger ring); otherwise a
-    default ring-buffered tracer is attached.
+    into a tracer you configured with sinks; otherwise the machine gets a
+    sinkless {!Trace.create} tracer, which counts events and seeks and
+    builds no event record.
 
     [backend] selects where blocks physically live (default: the
     [$EM_BACKEND] environment variable, falling back to {!Backend.Sim});

@@ -73,7 +73,7 @@ val create :
   ?trace:Trace.t -> ?backend:'a Backend.t -> ?shard:int -> Params.t -> Stats.t -> 'a t
 (** [create ?trace ?backend params stats] makes a device whose metered
     operations are counted in [stats] and emitted to [trace] (a fresh
-    default tracer if omitted), storing bytes in [backend] (a fresh
+    sinkless {!Trace.create} if omitted), storing bytes in [backend] (a fresh
     {!Backend.sim} sized by {!Backend.default_slots} if omitted).  Devices
     created through {!Ctx.linked} share one tracer.  The device starts with
     no injector and unarmed.
@@ -89,9 +89,6 @@ val trace : 'a t -> Trace.t
 val shard : 'a t -> int option
 (** The device's cluster shard identity, when it is part of one. *)
 
-val backend_name : 'a t -> string
-(** e.g. ["sim"], ["file"], ["cached"]; stamped on every trace event. *)
-
 val flush : 'a t -> unit
 (** Push pending state to stable storage: write back dirty buffer-pool
     pages, [fsync] file backends.  Costs no counted I/O (durability is
@@ -100,12 +97,6 @@ val flush : 'a t -> unit
 val close : 'a t -> unit
 (** Release backend OS resources (fds, buffer-pool pages).  Idempotent.
     Using the device afterwards is a programming error. *)
-
-val pin : 'a t -> int -> unit
-(** Pin block [id]'s buffer-pool page so eviction skips it.  No-op on
-    uncached backends or when the block is not resident. *)
-
-val unpin : 'a t -> int -> unit
 
 val prefetch : 'a t -> int array -> unit
 (** Advisory, {e unmetered}: hint that the blocks [ids] will be read soon so
@@ -128,7 +119,6 @@ val arm : ?policy:recovery_policy -> ?share:recovery -> 'a t -> unit
     family) but gets fresh checksum/remap tables — block-id spaces of linked
     devices are disjoint.  [share] overrides [policy]. *)
 
-val disarm : 'a t -> unit
 val recovery : 'a t -> recovery option
 val armed : 'a t -> bool
 

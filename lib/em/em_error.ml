@@ -35,7 +35,6 @@ let to_string = function
   | Budget_exceeded { budget; spent } ->
       Printf.sprintf "I/O budget of %d exceeded (%d spent)" budget spent
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
 let raise_error e = raise (Error e)
 let protect f = match f () with v -> Ok v | exception Error e -> Result.Error e
 

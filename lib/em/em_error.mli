@@ -47,7 +47,6 @@ exception Slot_overflow of { bytes : int; capacity : int; slot : int }
     backend's [slot_bytes] (see {!Backend.file}). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val raise_error : t -> 'a
 
 val protect : (unit -> 'a) -> ('a, t) result

@@ -31,10 +31,6 @@ let is_permanent = function
   | Permanent_read | Permanent_write -> true
   | Transient_read | Transient_write | Torn_write | Bit_corruption | Crash -> false
 
-let is_silent = function
-  | Torn_write | Bit_corruption -> true
-  | Transient_read | Permanent_read | Transient_write | Permanent_write | Crash -> false
-
 (* A private splitmix64, so plans never touch the global [Random] state and
    replay identically for a given seed (mirrors Core.Workload.Rng, which this
    library cannot depend on). *)

@@ -44,8 +44,6 @@ val applies : kind -> op -> bool
     apply to both). *)
 
 val is_permanent : kind -> bool
-val is_silent : kind -> bool
-(** Silent faults corrupt data without failing the I/O. *)
 
 (** The seeded splitmix64 PRNG used by probabilistic plans (exposed for
     tests that need to predict a schedule). *)

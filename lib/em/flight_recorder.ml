@@ -1,5 +1,5 @@
-(* Bounded journal of recent query records, joined on demand with the
-   Trace ring into a self-contained post-mortem JSON.
+(* Bounded journal of recent query records, joined on demand with a
+   tracer's ring sink into a self-contained post-mortem JSON.
 
    Each record remembers the [Trace.total] window ([seq_lo], [seq_hi])
    that was live while its query executed, so a dump can slice the trace
@@ -30,6 +30,7 @@ type t = {
 }
 
 let default_capacity = 64
+let default_trace_ring = 8192
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Flight_recorder.create: capacity must be >= 1";

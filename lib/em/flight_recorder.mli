@@ -1,6 +1,9 @@
 (** Bounded flight recorder: a journal of the last K query records that
-    can be joined with the {!Trace} ring and a {!Metrics} registry into a
-    self-contained post-mortem JSON document.
+    can be joined with a tracer's ring sink ({!Trace.ring_sink}) and a
+    {!Metrics} registry into a self-contained post-mortem JSON document.
+    Tracers carry no ring by default; a session that can write
+    post-mortems attaches one of {!default_trace_ring} events (or its own
+    depth) when it starts.
 
     A serving session records one entry per completed query (successful
     or not).  When something goes wrong — a typed {!Em_error} reply, a
@@ -29,6 +32,10 @@ val default_capacity : int
 (** 64 — roomy enough to cover any plausible fault window, small enough
     to keep post-mortems readable. *)
 
+val default_trace_ring : int
+(** 8192 — the trace ring depth a post-mortem writer attaches unless told
+    otherwise. *)
+
 val create : ?capacity:int -> unit -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
@@ -51,8 +58,9 @@ val dump :
 (** One-line post-mortem JSON:
     [{"postmortem":{"reason":...,"recorded":N,"retained":K,
     "queries":[...],"trace_events":[...],"trace_dropped":D,
-    "metrics":...,"wall":{"ts_ms":...}}}].  Trace events are sliced to
-    those emitted at or after the oldest retained record began; [now]
+    "metrics":...,"wall":{"ts_ms":...}}}].  Trace events come from
+    [trace]'s first ring sink (none without one), sliced to those emitted
+    at or after the oldest retained record began; [now]
     (default [Unix.gettimeofday]) stamps the ["wall"] object. *)
 
 val dump_to_file :

@@ -295,7 +295,6 @@ let snapshot s =
   }
 
 let ios_since s snap = s.reads + s.writes - snap.at_reads - snap.at_writes
-let comparisons_since s snap = s.comparisons - snap.at_comparisons
 let delta s snap = delta_between (snapshot s) snap
 let delta_ios d = d.d_reads + d.d_writes
 
@@ -387,18 +386,6 @@ let phase_report s =
   |> List.filter (fun (_, ios) -> ios > 0)
   |> List.sort (fun (pa, a) (pb, b) ->
          match Int.compare b a with 0 -> String.compare pa pb | c -> c)
-
-let pp_delta ppf d =
-  Format.fprintf ppf "{ reads = %d; writes = %d; ios = %d; comparisons = %d }" d.d_reads
-    d.d_writes (delta_ios d) d.d_comparisons;
-  if d.d_faults > 0 || d.d_retries > 0 then
-    Format.fprintf ppf " [faults = %d; retries = %d]" d.d_faults d.d_retries;
-  if d.d_cache_hits > 0 || d.d_cache_misses > 0 then
-    Format.fprintf ppf " [cache hits = %d; misses = %d]" d.d_cache_hits d.d_cache_misses;
-  if d.d_rounds <> delta_ios d then
-    Format.fprintf ppf " [rounds = %d]" d.d_rounds;
-  if d.d_comm_rounds > 0 || d.d_comm_words > 0 then
-    Format.fprintf ppf " [comm rounds = %d; words = %d]" d.d_comm_rounds d.d_comm_words
 
 let pp ppf s =
   Format.fprintf ppf

@@ -245,13 +245,10 @@ val snapshot : t -> snapshot
 val ios_since : t -> snapshot -> int
 (** I/Os performed since the snapshot was taken. *)
 
-val comparisons_since : t -> snapshot -> int
-
 val delta : t -> snapshot -> delta
 val zero_delta : delta
 val add_delta : delta -> delta -> delta
 val delta_ios : delta -> int
-val pp_delta : Format.formatter -> delta -> unit
 
 val current_phase : t -> string
 (** Innermost active phase label, or ["(other)"]. *)

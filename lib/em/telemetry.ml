@@ -204,7 +204,6 @@ end
 
 type sink = Chan of { oc : out_channel; owned : bool } | Fn of (string -> unit)
 
-let channel_sink oc = Chan { oc; owned = false }
 let file_sink path = Chan { oc = open_out path; owned = true }
 
 let socket_sink path =

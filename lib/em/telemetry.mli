@@ -27,10 +27,6 @@
 type t
 type sink
 
-val channel_sink : out_channel -> sink
-(** Writes frames to an existing channel (flushed per frame); the caller
-    keeps ownership and closes it. *)
-
 val file_sink : string -> sink
 (** Truncates/creates the file; {!close} closes it. *)
 

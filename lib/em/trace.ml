@@ -34,48 +34,22 @@ type t = {
   mutable sinks : sink list;
   mutable last_block : int;
   mutable next_seq : int;
+  mutable seeks : int;
 }
 
-let default_ring_capacity = 8192
-let ring_env_var = "EM_TRACE_RING"
-
-(* Same contract as [Params.default_disks]/EM_DISKS: unset or empty means
-   the baked-in default, anything else must be a positive integer. *)
-let env_ring_capacity () =
-  match Sys.getenv_opt ring_env_var with
-  | None | Some "" -> default_ring_capacity
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some c when c >= 1 -> c
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Trace: %s must be a positive integer (got %S)" ring_env_var s))
-
-let make_ring capacity =
+let ring_sink ~capacity =
   if capacity < 1 then invalid_arg "Trace.ring_sink: capacity must be >= 1";
-  { capacity; buf = [||]; len = 0; head = 0; dropped = 0 }
+  Ring { capacity; buf = [||]; len = 0; head = 0; dropped = 0 }
 
-let ring_sink ~capacity = Ring (make_ring capacity)
 let jsonl_sink oc = Jsonl oc
 let custom_sink ?(reset = fun () -> ()) f = Custom { push = f; on_reset = reset }
-
-let create ?ring_capacity () =
-  let capacity =
-    match ring_capacity with Some c -> c | None -> env_ring_capacity ()
-  in
-  { sinks = [ ring_sink ~capacity ]; last_block = min_int; next_seq = 0 }
-
+let create () = { sinks = []; last_block = min_int; next_seq = 0; seeks = 0 }
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 
 let collector () =
   let acc = ref [] in
   ( Custom { push = (fun e -> acc := e :: !acc); on_reset = (fun () -> acc := []) },
     fun () -> List.rev !acc )
-
-let counter pred =
-  let n = ref 0 in
-  ( Custom { push = (fun e -> if pred e then incr n); on_reset = (fun () -> n := 0) },
-    fun () -> !n )
 
 let op_name = function Read -> "read" | Write -> "write"
 let locality_name = function Sequential -> "sequential" | Random -> "random"
@@ -124,127 +98,79 @@ let ring_push r e =
 
 let ring_events r = List.init r.len (fun i -> r.buf.((r.head + i) mod r.capacity))
 
-let classify t block =
-  if t.next_seq = 0 then Random
-  else if block = t.last_block || block = t.last_block + 1 then Sequential
-  else Random
+let sequential ~last block = block = last || block = last + 1
 
+let classify t block =
+  if t.next_seq > 0 && sequential ~last:t.last_block block then Sequential else Random
+
+(* The counters every emit advances; the event record is built only for
+   sinks. *)
 let emit_now ~kind ~backend ?cache ?disk ?round ?shard t op ~block ~phase =
-  let e =
-    { seq = t.next_seq; op; kind; block; phase; locality = classify t block;
-      backend; cache; disk; round; shard }
-  in
+  let locality = classify t block in
+  (match locality with Random -> t.seeks <- t.seeks + 1 | Sequential -> ());
+  (match t.sinks with
+  | [] -> ()
+  | sinks ->
+      let e =
+        { seq = t.next_seq; op; kind; block; phase; locality; backend; cache; disk; round;
+          shard }
+      in
+      List.iter
+        (function
+          | Ring r -> ring_push r e
+          | Jsonl oc ->
+              output_string oc (event_to_json e);
+              output_char oc '\n'
+          | Custom c -> c.push e)
+        sinks);
   t.next_seq <- t.next_seq + 1;
-  t.last_block <- block;
-  List.iter
-    (function
-      | Ring r -> ring_push r e
-      | Jsonl oc ->
-          output_string oc (event_to_json e);
-          output_char oc '\n'
-      | Custom c -> c.push e)
-    t.sinks
+  t.last_block <- block
 
 (* Deferred emission for work running off the main domain.
 
-   A staged event is one phase-list pointer (shared with the machine's
-   stack, never copied) plus one packed int — op, cache outcome, kind, two
-   presence flags, a context index and the block — followed by the disk and
-   round when present.  The tracer, backend name and shard, which are fixed
-   per device, live once in a small context table.  Both streams grow by
-   appending fixed-size chunks, so a stage never copies itself.  Sequence
-   numbers and locality are not decided here: {!replay} runs the events
-   through the ordinary emit path, so they come out exactly as if emitted in
-   replay order. *)
+   A tracer with no sink is observed only through [total], [seeks] and the
+   block its next event is classified against, so its staged events fold
+   into a summary: the count, the seeks after its first event (which can
+   only be classified against the tracer's state at replay), and the first
+   and last block.  A tracer with sinks has its emit arguments recorded in
+   order, as an event whose sequence number and locality {!replay} decides
+   when it runs them through the ordinary emit path. *)
 
-let chunk = 1024
-
-type 'a chunks = {
-  mutable full : 'a array list;  (* filled chunks, newest first *)
-  mutable cur : 'a array;  (* made at the first push after a fill *)
-  mutable fill : int;
+type summary = {
+  tracer : t;
+  first : int;
+  mutable last : int;
+  mutable count : int;
+  mutable inner_seeks : int;  (* seeks among events 2..count *)
 }
-
-let new_chunks () = { full = []; cur = [||]; fill = 0 }
-
-let push_chunk c x =
-  if c.fill = Array.length c.cur then begin
-    if c.fill > 0 then c.full <- c.cur :: c.full;
-    c.cur <- Array.make chunk x;
-    c.fill <- 0
-  end;
-  c.cur.(c.fill) <- x;
-  c.fill <- c.fill + 1
-
-let chunk_list c = List.rev_append c.full [ Array.sub c.cur 0 c.fill ]
-
-type context = { tracer : t; ctx_backend : string; ctx_shard : int option }
 
 type stage = {
-  mutable contexts : context array;
-  mutable last : int;  (* index of the most recently used context *)
-  mutable phases : string list chunks;
-  mutable words : int chunks;
+  mutable summaries : summary list;
+  mutable pending : (t * event) list;  (* newest first; seq and locality unset *)
 }
 
-let create_stage () =
-  { contexts = [||]; last = -1; phases = new_chunks (); words = new_chunks () }
-
+let create_stage () = { summaries = []; pending = [] }
 let staging : stage option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let fault_kinds =
-  Fault.[| Transient_read; Permanent_read; Transient_write; Permanent_write;
-           Torn_write; Bit_corruption; Crash |]
-
-let kind_code = function
-  | Io -> 0
-  | Retry -> 1
-  | Faulted k ->
-      let rec find i = if fault_kinds.(i) = k then i + 2 else find (i + 1) in
-      find 0
-
-let kind_of_code = function 0 -> Io | 1 -> Retry | c -> Faulted fault_kinds.(c - 2)
-
-(* Packed word: bit 0 op, bits 1-2 cache, bits 3-6 kind, bit 7 disk
-   present, bit 8 round present, bits 9-20 context, block above (signed:
-   checkpoint records use negative ids). *)
-let ctx_shift = 9
-let max_contexts = 1 lsl 12
-let block_shift = ctx_shift + 12
-
-let same_context c t backend shard =
-  c.tracer == t && String.equal c.ctx_backend backend && Option.equal Int.equal c.ctx_shard shard
-
-let context_index st t backend shard =
-  if st.last >= 0 && same_context st.contexts.(st.last) t backend shard then st.last
-  else begin
-    let n = Array.length st.contexts in
-    let rec find i =
-      if i = n then begin
-        if n = max_contexts then invalid_arg "Trace.staged: too many distinct contexts";
-        st.contexts <-
-          Array.append st.contexts [| { tracer = t; ctx_backend = backend; ctx_shard = shard } |];
-        n
-      end
-      else if same_context st.contexts.(i) t backend shard then i
-      else find (i + 1)
-    in
-    st.last <- find 0;
-    st.last
-  end
+let rec summarize st t block = function
+  | s :: _ when s.tracer == t ->
+      if not (sequential ~last:s.last block) then s.inner_seeks <- s.inner_seeks + 1;
+      s.last <- block;
+      s.count <- s.count + 1
+  | _ :: rest -> summarize st t block rest
+  | [] ->
+      st.summaries <-
+        { tracer = t; first = block; last = block; count = 1; inner_seeks = 0 } :: st.summaries
 
 let stage_event st ~kind ~backend ~cache ~disk ~round ~shard t op ~block ~phase =
-  push_chunk st.phases phase;
-  push_chunk st.words
-    ((match op with Read -> 0 | Write -> 1)
-    lor ((match cache with None -> 0 | Some Hit -> 1 | Some Miss -> 2) lsl 1)
-    lor (kind_code kind lsl 3)
-    lor ((if disk = None then 0 else 1) lsl 7)
-    lor ((if round = None then 0 else 1) lsl 8)
-    lor (context_index st t backend shard lsl ctx_shift)
-    lor (block lsl block_shift));
-  (match disk with None -> () | Some d -> push_chunk st.words d);
-  match round with None -> () | Some r -> push_chunk st.words r
+  match t.sinks with
+  | [] -> summarize st t block st.summaries
+  | _ ->
+      st.pending <-
+        ( t,
+          { seq = -1; op; kind; block; phase; locality = Random; backend; cache; disk; round;
+            shard } )
+        :: st.pending
 
 let emit ?(kind = Io) ?(backend = "sim") ?cache ?disk ?round ?shard t op ~block ~phase =
   match Domain.DLS.get staging with
@@ -257,31 +183,22 @@ let staged st f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set staging outer) f
 
 let replay st =
-  let contexts = st.contexts and phases = chunk_list st.phases in
-  let words = Array.concat (chunk_list st.words) and pos = ref 0 in
-  let next () =
-    let w = words.(!pos) in
-    incr pos;
-    w
-  in
-  st.contexts <- [||];
-  st.last <- -1;
-  st.phases <- new_chunks ();
-  st.words <- new_chunks ();
+  let summaries = st.summaries and pending = List.rev st.pending in
+  st.summaries <- [];
+  st.pending <- [];
   List.iter
-    (Array.iter (fun phase ->
-         let w = next () in
-         let disk = if (w lsr 7) land 1 = 1 then Some (next ()) else None in
-         let round = if (w lsr 8) land 1 = 1 then Some (next ()) else None in
-         let c = contexts.((w lsr ctx_shift) land (max_contexts - 1)) in
-         emit_now
-           ~kind:(kind_of_code ((w lsr 3) land 15))
-           ~backend:c.ctx_backend
-           ?cache:(match (w lsr 1) land 3 with 1 -> Some Hit | 2 -> Some Miss | _ -> None)
-           ?disk ?round ?shard:c.ctx_shard c.tracer
-           (if w land 1 = 0 then Read else Write)
-           ~block:(w asr block_shift) ~phase))
-    phases
+    (fun s ->
+      let t = s.tracer in
+      if classify t s.first = Random then t.seeks <- t.seeks + 1;
+      t.seeks <- t.seeks + s.inner_seeks;
+      t.next_seq <- t.next_seq + s.count;
+      t.last_block <- s.last)
+    summaries;
+  List.iter
+    (fun (t, e) ->
+      emit_now ~kind:e.kind ~backend:e.backend ?cache:e.cache ?disk:e.disk ?round:e.round
+        ?shard:e.shard t e.op ~block:e.block ~phase:e.phase)
+    pending
 
 let first_ring t =
   List.find_map (function Ring r -> Some r | _ -> None) t.sinks
@@ -289,10 +206,12 @@ let first_ring t =
 let events t = match first_ring t with None -> [] | Some r -> ring_events r
 let dropped t = match first_ring t with None -> 0 | Some r -> r.dropped
 let total t = t.next_seq
+let seeks t = t.seeks
 
 let reset t =
   t.last_block <- min_int;
   t.next_seq <- 0;
+  t.seeks <- 0;
   List.iter
     (function
       | Ring r ->

@@ -1,11 +1,13 @@
 (** Structured I/O event tracing.
 
-    Every metered {!Device} operation emits one {!event} carrying the
-    operation kind, the block id, the phase path that was active (see
-    {!Phase}), and a sequential-vs-random classification derived from the
-    previously accessed block id.  Events flow into pluggable {!sink}s: by
-    default a bounded in-memory ring buffer (cheap enough to leave on), and
-    optionally a JSONL file sink for offline analysis or ad-hoc callbacks.
+    Every metered {!Device} operation is counted here ({!total}), classified
+    sequential or random against the previously accessed block id, and
+    random ones are counted too ({!seeks}).  Those counters are all a tracer
+    keeps by itself: {!create} attaches no sink, and an {!event} record —
+    operation kind, block id, the active phase path (see {!Phase}),
+    locality, backend annotations — is built only when a {!sink} is
+    attached.  Sinks are a bounded in-memory ring (the flight recorder's
+    source), a JSONL file, an unbounded collector, or ad-hoc callbacks.
 
     Tracing is observability machinery: it costs no simulated I/O and never
     changes what an algorithm does. *)
@@ -45,26 +47,15 @@ type event = {
 type sink
 type t
 
-val create : ?ring_capacity:int -> unit -> t
-(** A tracer with a single bounded ring-buffer sink.  When [ring_capacity]
-    is omitted the capacity honours the [EM_TRACE_RING] environment variable
-    ({!env_ring_capacity}), defaulting to {!default_ring_capacity} — so
-    flight-recorder depth is tunable per deployment without a code change.
-    The ring retains the most recent events and counts how many it
-    evicted. *)
-
-val default_ring_capacity : int
-
-val ring_env_var : string
-(** ["EM_TRACE_RING"]. *)
-
-val env_ring_capacity : unit -> int
-(** The ring capacity {!create} uses when none is passed: [$EM_TRACE_RING]
-    if set and non-empty, {!default_ring_capacity} otherwise.
-    @raise Invalid_argument if the variable is set to anything but a
-    positive integer. *)
+val create : unit -> t
+(** A tracer with no sink: it counts events and seeks and builds no event
+    record until a sink is added. *)
 
 val ring_sink : capacity:int -> sink
+(** A bounded ring keeping the most recent [capacity] events and counting
+    how many it evicted.
+    @raise Invalid_argument if [capacity < 1]. *)
+
 val jsonl_sink : out_channel -> sink
 (** One JSON object per line; the caller owns (and closes) the channel. *)
 
@@ -77,10 +68,6 @@ val collector : unit -> sink * (unit -> event list)
 (** An unbounded sink that retains every event, plus a function returning
     them oldest-first.  Use for reports on runs whose length exceeds any
     reasonable ring.  {!reset} clears the retained events. *)
-
-val counter : (event -> bool) -> sink * (unit -> int)
-(** A constant-space sink counting the events that satisfy the predicate.
-    {!reset} zeroes the count. *)
 
 val add_sink : t -> sink -> unit
 
@@ -95,14 +82,15 @@ val emit :
 (** {2 Staged emission}
 
     Work that runs off the main domain (the shard-local supersteps of
-    [Core.Cluster]) must not touch a tracer's sinks, sequence counter or
-    locality state.  Inside {!staged}, {!emit} on the calling domain records
-    its arguments into a {!stage} instead; {!replay} later runs them through
-    the ordinary emit path on the caller's domain, so sequence numbers,
+    [Core.Cluster]) must not touch a tracer's sinks, counters or locality
+    state.  Inside {!staged}, {!emit} on the calling domain records into a
+    {!stage} instead: for a tracer with no sink, only its event count, the
+    seeks after its first staged event, and its first and last block; for a
+    tracer with sinks, the emit arguments in order.  {!replay} later applies
+    them on the caller's domain, so {!total}, {!seeks}, sequence numbers,
     locality and every sink see exactly the stream an unstaged run of the
-    same work would have produced.  A staged event costs a few words — the
-    phase path is shared, not copied — and no closure.  Outside {!staged},
-    {!emit} pays one domain-local lookup. *)
+    same work would have produced.  Outside {!staged}, {!emit} pays one
+    domain-local lookup. *)
 
 type stage
 
@@ -114,24 +102,29 @@ val staged : stage -> (unit -> 'a) -> 'a
     raises. *)
 
 val replay : stage -> unit
-(** Emit [st]'s events, oldest first, through the ordinary path, leaving
-    [st] empty.  Call it on a domain that is not itself staging. *)
+(** Apply [st] to its tracers, oldest event first, leaving [st] empty.
+    Call it on a domain that is not itself staging. *)
 
 val events : t -> event list
-(** Retained events of the first ring sink, oldest first. *)
+(** Retained events of the first ring sink, oldest first; [[]] when no
+    ring is attached. *)
 
 val dropped : t -> int
 (** Events evicted from the first ring sink since creation/reset. *)
 
 val total : t -> int
-(** Total events emitted (independent of ring capacity). *)
+(** Total events emitted since creation/reset, with or without sinks. *)
+
+val seeks : t -> int
+(** Events classified {!Random} since creation/reset, with or without
+    sinks. *)
 
 val reset : t -> unit
-(** Clear sequence numbering, locality state, and the contents of {e every}
-    sink that owns state: ring sinks are emptied (length, head and dropped
-    count), and custom sinks — including {!collector} and {!counter} — have
-    their [reset] hook invoked, so no sink silently carries events across
-    runs.  JSONL sinks are the one exception: the tracer does not own the
+(** Clear sequence numbering, the seek count, locality state, and the
+    contents of {e every} sink that owns state: ring sinks are emptied
+    (length, head and dropped count), and custom sinks — {!collector}
+    included — have their [reset] hook invoked, so no sink silently carries
+    events across runs.  JSONL sinks are the one exception: the tracer does not own the
     channel, so already-written lines stay in the file and subsequent events
     are appended (their [seq] restarts at 0). *)
 

@@ -64,7 +64,6 @@ type 'a t = {
   input : 'a Em.Vec.t;
   root : 'a node;
   batch_plan : (ranks:int Em.Vec.t -> 'a Em.Vec.t) option;
-  prefetch : int option;
   mutable queries : int;
   mutable refine_ios : int;
   mutable answer_ios : int;
@@ -82,7 +81,7 @@ type 'a t = {
   mutable budget_base : Em.Stats.snapshot option;
 }
 
-let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
+let make_session ?batch_plan ?store ?every_splits cmp ctx v root
     ~queries ~refine_ios ~answer_ios ~splits ~touched =
   (match every_splits with
   | Some k when k < 1 -> invalid_arg "Online_select: every_splits must be >= 1"
@@ -93,7 +92,6 @@ let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
     input = v;
     root;
     batch_plan;
-    prefetch;
     queries;
     refine_ios;
     answer_ios;
@@ -109,11 +107,11 @@ let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
     budget_base = None;
   }
 
-let open_session ?batch_plan ?prefetch cmp ctx v =
+let open_session ?batch_plan cmp ctx v =
   if not (Em.Vec.ctx v == ctx) then
     invalid_arg "Online_select.open_session: vector does not live on ctx";
   Layout.require_min_geometry ctx;
-  make_session ?batch_plan ?prefetch cmp ctx v
+  make_session ?batch_plan cmp ctx v
     { lo = 0; len = Em.Vec.length v; state = Leaf Raw }
     ~queries:0 ~refine_ios:0 ~answer_ios:0 ~splits:0 ~touched:false
 
@@ -226,7 +224,7 @@ let enable_checkpoints ?every_splits t =
 
 let checkpoint_store t = t.store
 
-let restore ?batch_plan ?prefetch ?every_splits cmp ctx v store =
+let restore ?batch_plan ?every_splits cmp ctx v store =
   if not (Em.Vec.ctx v == ctx) then
     invalid_arg "Online_select.restore: vector does not live on ctx";
   Layout.require_min_geometry ctx;
@@ -277,7 +275,7 @@ let restore ?batch_plan ?prefetch ?every_splits cmp ctx v store =
       let pristine =
         match snap.s_leaves with [ (_, _, H_raw) ] -> true | _ -> false
       in
-      make_session ?batch_plan ?prefetch ~store ?every_splits cmp ctx v root
+      make_session ?batch_plan ~store ?every_splits cmp ctx v root
         ~queries:snap.s_queries ~refine_ios:snap.s_refine_ios
         ~answer_ios:snap.s_answer_ios ~splits:snap.s_splits
         ~touched:(snap.s_queries > 0 || not pristine)
@@ -535,9 +533,7 @@ let drain t ~ranks =
   | Some plan when not t.touched -> plan ~ranks
   | _ ->
       Em.Writer.with_writer t.ctx (fun w ->
-          Scan.iter ?prefetch:t.prefetch
-            (fun r -> Em.Writer.push w (select t r))
-            ranks)
+          Scan.iter (fun r -> Em.Writer.push w (select t r)) ranks)
 
 (* ---- introspection & teardown ---- *)
 

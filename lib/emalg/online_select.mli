@@ -44,8 +44,9 @@
     save.  With no store attached, nothing changes: free timing, costs and
     traces are bit-identical to the historical behaviour.
 
-    Optional arguments follow the library-wide canonical order
-    [?batch_plan ?prefetch] before the comparator (see DESIGN.md). *)
+    Optional arguments come before the comparator (see DESIGN.md).
+    Streaming fallbacks read with the {!Scan} look-ahead of [D - 1]
+    blocks. *)
 
 type 'a t
 (** A live query session. *)
@@ -86,7 +87,6 @@ type summary = {
 
 val open_session :
   ?batch_plan:(ranks:int Em.Vec.t -> 'a Em.Vec.t) ->
-  ?prefetch:int ->
   ('a -> 'a -> int) ->
   'a Em.Ctx.t ->
   'a Em.Vec.t ->
@@ -98,8 +98,7 @@ val open_session :
     [batch_plan] is the escape hatch that lets batch entry points
     ({!Core.Multi_select}) be thin session wrappers without changing their
     golden costs: a {!drain} on a {e pristine} session (no query answered
-    yet) delegates to the plan verbatim.  [prefetch] sets the reader
-    look-ahead of streaming fallbacks (default [D - 1]).
+    yet) delegates to the plan verbatim.
     @raise Invalid_argument if [v] does not live on [ctx] or the geometry
     is below the library minimum. *)
 
@@ -174,7 +173,6 @@ val checkpoint_store : 'a t -> 'a snapshot Em.Checkpoint.t option
 
 val restore :
   ?batch_plan:(ranks:int Em.Vec.t -> 'a Em.Vec.t) ->
-  ?prefetch:int ->
   ?every_splits:int ->
   ('a -> 'a -> int) ->
   'a Em.Ctx.t ->

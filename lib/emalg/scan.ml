@@ -7,36 +7,31 @@
 let read_ahead v = Em.Ctx.disks (Em.Vec.ctx v) - 1
 let behind ctx = Em.Ctx.disks ctx - 1
 
-(* Canonical optional-argument convention (see DESIGN.md): entry points take
-   [?prefetch] (reader look-ahead, default [D - 1]) before the required
-   arguments; producers pair it with an implicit [write_behind = D - 1]. *)
-let ahead ?prefetch v = match prefetch with Some p -> p | None -> read_ahead v
-
-let iter ?prefetch f v =
-  Em.Reader.with_reader ~prefetch:(ahead ?prefetch v) v (fun r ->
+let iter f v =
+  Em.Reader.with_reader ~prefetch:(read_ahead v) v (fun r ->
       while Em.Reader.has_next r do
         f (Em.Reader.next r)
       done)
 
-let fold ?prefetch f init v =
+let fold f init v =
   let acc = ref init in
-  iter ?prefetch (fun e -> acc := f !acc e) v;
+  iter (fun e -> acc := f !acc e) v;
   !acc
 
-let map_into ?prefetch ctx f v =
+let map_into ctx f v =
   Em.Writer.with_writer ~write_behind:(behind ctx) ctx (fun w ->
-      iter ?prefetch (fun e -> Em.Writer.push w (f e)) v)
+      iter (fun e -> Em.Writer.push w (f e)) v)
 
-let mapi_into ?prefetch ctx f v =
+let mapi_into ctx f v =
   let i = ref 0 in
   Em.Writer.with_writer ~write_behind:(behind ctx) ctx (fun w ->
-      iter ?prefetch
+      iter
         (fun e ->
           Em.Writer.push w (f !i e);
           incr i)
         v)
 
-let copy ?prefetch v = map_into ?prefetch (Em.Vec.ctx v) (fun e -> e) v
+let copy v = map_into (Em.Vec.ctx v) (fun e -> e) v
 
 let filter keep v =
   let ctx = Em.Vec.ctx v in
@@ -58,10 +53,10 @@ let prefix v count =
 let rank_of cmp v x = fold (fun acc e -> if cmp e x <= 0 then acc + 1 else acc) 0 v
 let count p v = fold (fun acc e -> if p e then acc + 1 else acc) 0 v
 
-let chunks ?prefetch ~size f v =
+let chunks ~size f v =
   if size < 1 then invalid_arg "Scan.chunks: size must be >= 1";
   let ctx = Em.Vec.ctx v in
-  Em.Reader.with_reader ~prefetch:(ahead ?prefetch v) v (fun r ->
+  Em.Reader.with_reader ~prefetch:(read_ahead v) v (fun r ->
       while Em.Reader.has_next r do
         let load = Em.Reader.take r size in
         Em.Ctx.with_words ctx (Array.length load) (fun () -> f load)

@@ -1,23 +1,21 @@
 (** Linear-I/O scanning utilities over external vectors.
 
-    Optional arguments follow the library-wide canonical order
-    [?prefetch ... required args] (see DESIGN.md).  [?prefetch] is the
-    reader look-ahead in blocks and defaults to [D - 1] so that full
-    consumers overlap into ~[N/(DB)] rounds; pass [~prefetch:0] for strictly
-    unbuffered scans.  The counted I/Os are identical either way — prefetch
-    only changes round scheduling. *)
+    Full consumers read with a look-ahead of [D - 1] blocks and producers
+    write behind by [D - 1], so they overlap into ~[N/(DB)] rounds on a
+    D-disk machine.  The counted I/Os are those of an unbuffered scan; the
+    look-ahead only changes round scheduling.  {!prefix} stops early and
+    reads unbuffered. *)
 
-val copy : ?prefetch:int -> 'a Em.Vec.t -> 'a Em.Vec.t
+val copy : 'a Em.Vec.t -> 'a Em.Vec.t
 (** Read and rewrite the vector: [2 * ceil(N/B)] I/Os. *)
 
-val iter : ?prefetch:int -> ('a -> unit) -> 'a Em.Vec.t -> unit
-val fold : ?prefetch:int -> ('acc -> 'a -> 'acc) -> 'acc -> 'a Em.Vec.t -> 'acc
+val iter : ('a -> unit) -> 'a Em.Vec.t -> unit
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a Em.Vec.t -> 'acc
 
-val map_into : ?prefetch:int -> 'b Em.Ctx.t -> ('a -> 'b) -> 'a Em.Vec.t -> 'b Em.Vec.t
+val map_into : 'b Em.Ctx.t -> ('a -> 'b) -> 'a Em.Vec.t -> 'b Em.Vec.t
 (** Map every element into a vector on a (possibly linked) context. *)
 
-val mapi_into :
-  ?prefetch:int -> 'b Em.Ctx.t -> (int -> 'a -> 'b) -> 'a Em.Vec.t -> 'b Em.Vec.t
+val mapi_into : 'b Em.Ctx.t -> (int -> 'a -> 'b) -> 'a Em.Vec.t -> 'b Em.Vec.t
 
 val filter : ('a -> bool) -> 'a Em.Vec.t -> 'a Em.Vec.t
 
@@ -33,7 +31,7 @@ val rank_of : ('a -> 'a -> int) -> 'a Em.Vec.t -> 'a -> int
 
 val count : ('a -> bool) -> 'a Em.Vec.t -> int
 
-val chunks : ?prefetch:int -> size:int -> ('a array -> unit) -> 'a Em.Vec.t -> unit
+val chunks : size:int -> ('a array -> unit) -> 'a Em.Vec.t -> unit
 (** [chunks ~size f v] feeds [f] successive memory loads of at most [size]
     elements.  The load array is charged against the memory ledger for the
     duration of each call to [f]; the reader buffer adds one block. *)

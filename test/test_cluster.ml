@@ -460,6 +460,45 @@ let test_scheduler_determinism () =
         scheduled_drivers)
     [ 2; 4; 8 ]
 
+(* A sinkless tracer keeps only its event and seek counts; on domains the
+   workers' stages fold into those counts at replay.  They must equal the
+   event count and the random events of the same run forced inline with a
+   collector attached. *)
+let test_sinkless_counts_on_domains () =
+  let a = Tu.random_perm ~seed:23 2500 in
+  let run ~shards ~workers ~collect driver =
+    let trace = Em.Trace.create () in
+    let events =
+      if collect then begin
+        let sink, events = Em.Trace.collector () in
+        Em.Trace.add_sink trace sink;
+        events
+      end
+      else fun () -> []
+    in
+    let t : int Core.Cluster.t = Core.Cluster.create ~trace ~shards (Tu.params ()) in
+    Core.Cluster.Private.set_workers t (Some workers);
+    Tu.check_int "scheduler worker count" workers (Core.Cluster.Private.workers t);
+    ignore (driver t (Core.Cluster.place t a));
+    Core.Cluster.close t;
+    (trace, events ())
+  in
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun name ->
+          let driver = List.assoc name scheduled_drivers in
+          let what = Printf.sprintf "%s P=%d" name shards in
+          let _, events = run ~shards ~workers:1 ~collect:true driver in
+          let sinkless, _ = run ~shards ~workers:shards ~collect:false driver in
+          Tu.check_int (what ^ ": total = events") (List.length events)
+            (Em.Trace.total sinkless);
+          Tu.check_int (what ^ ": seeks = random events")
+            (List.length (List.filter (fun e -> e.Em.Trace.locality = Em.Trace.Random) events))
+            (Em.Trace.seeks sinkless))
+        [ "partition"; "sort" ])
+    [ 2; 4; 8 ]
+
 exception Boom of int
 
 (* A comparator that raises on one key held by shard 5 of 8.  Shards past
@@ -629,6 +668,8 @@ let suite =
       test_scheduler_determinism;
     Alcotest.test_case "scheduler: a raising shard leaves the sequential prefix" `Quick
       test_scheduler_failure;
+    Alcotest.test_case "scheduler: sinkless counts on domains equal inline events" `Quick
+      test_sinkless_counts_on_domains;
     Alcotest.test_case "scheduler: profiles fall back to one worker" `Quick test_profile_fallback;
     Alcotest.test_case "scheduler: fault plans fall back to one worker" `Quick test_fault_fallback;
     Alcotest.test_case "one profiler on P shards sums their trees" `Quick

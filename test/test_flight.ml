@@ -29,7 +29,8 @@ let parse_dump s =
   | Error msg -> Alcotest.failf "dump should be valid JSON, got: %s" msg
 
 let test_dump_shape_and_trace_join () =
-  let trace = Em.Trace.create ~ring_capacity:64 () in
+  let trace = Em.Trace.create () in
+  Em.Trace.add_sink trace (Em.Trace.ring_sink ~capacity:64);
   let emit () = Em.Trace.emit trace Em.Trace.Read ~block:7 ~phase:[] in
   let r = Fr.create ~capacity:2 () in
   (* Query 1 runs over trace seqs 0-2, then gets evicted; queries 2 and 3

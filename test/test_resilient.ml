@@ -134,6 +134,7 @@ let test_trace_records_faults_and_retries () =
   let dev = ctx.Em.Ctx.dev in
   let id = write_block ctx [| 1; 2 |] in
   Em.Ctx.inject ctx (Em.Fault.limit 1 (Em.Fault.every_nth ~n:1 Em.Fault.Transient_read));
+  Em.Trace.add_sink ctx.Em.Ctx.trace (Em.Trace.ring_sink ~capacity:64);
   Em.Phase.with_label ctx "probe" (fun () -> ignore (Em.Resilient.read dev id));
   let events = Em.Trace.events ctx.Em.Ctx.trace in
   let faulted =
@@ -168,6 +169,7 @@ let test_trace_report_overhead () =
   let dev = ctx.Em.Ctx.dev in
   let id = write_block ctx [| 1 |] in
   Em.Ctx.inject ctx (Em.Fault.limit 1 (Em.Fault.every_nth ~n:1 Em.Fault.Transient_read));
+  Em.Trace.add_sink ctx.Em.Ctx.trace (Em.Trace.ring_sink ~capacity:64);
   Em.Phase.with_label ctx "probe" (fun () -> ignore (Em.Resilient.read dev id));
   let totals = Em.Trace_report.subtotal (Em.Trace_report.tree (Em.Trace.events ctx.Em.Ctx.trace)) in
   Tu.check_int "report sees fault" 1 totals.Em.Trace_report.faults;

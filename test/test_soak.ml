@@ -90,6 +90,61 @@ let test_spread_crashes () =
   Tu.check_int "degenerate stream gets none" 0
     (List.length (Core.Soak.spread_crashes ~queries:1 ~k:2))
 
+(* A kill's post-mortem carries the trace events of the query the kill
+   followed: soak attaches the ring its flight recorder slices only when it
+   has a flight dir, so this covers that ring end to end. *)
+let test_kill_postmortem_trace () =
+  let module J = Em.Telemetry.Json in
+  let dir = Filename.temp_file "em-soak-flight-" "" in
+  Sys.remove dir;
+  let queries = 8 and kill = 3 in
+  let cfg =
+    {
+      (Core.Soak.default ~n:6_000 ~queries) with
+      Core.Soak.crash_after = [ kill ];
+      flight_dir = Some dir;
+    }
+  in
+  let o = Core.Soak.run cfg in
+  let path =
+    match o.Core.Soak.flight_dumps with
+    | [ p ] -> p
+    | ps -> Alcotest.failf "expected one post-mortem, got %d" (List.length ps)
+  in
+  let v =
+    match J.parse (String.trim (In_channel.with_open_text path In_channel.input_all)) with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "post-mortem is not JSON: %s" msg
+  in
+  Sys.remove path;
+  Sys.rmdir dir;
+  let get keys = J.path ("postmortem" :: keys) v in
+  let record =
+    match get [ "queries" ] with
+    | Some (J.List qs) -> (
+        match
+          List.find_opt (fun q -> Option.bind (J.member "id" q) J.num = Some (float kill)) qs
+        with
+        | Some q -> q
+        | None -> Alcotest.fail "the killed-after query has no record")
+    | _ -> Alcotest.fail "queries must be a list"
+  in
+  let lo, hi =
+    match
+      ( Option.bind (J.path [ "trace"; "lo" ] record) J.num,
+        Option.bind (J.path [ "trace"; "hi" ] record) J.num )
+    with
+    | Some lo, Some hi -> (lo, hi)
+    | _ -> Alcotest.fail "record must carry its trace window"
+  in
+  Tu.check_bool "the query did I/O" true (hi > lo);
+  match get [ "trace_events" ] with
+  | Some (J.List evs) ->
+      let seqs = List.filter_map (fun e -> Option.bind (J.member "seq" e) J.num) evs in
+      Tu.check_bool "post-mortem holds the query's trace events" true
+        (List.exists (fun s -> s >= lo && s < hi) seqs)
+  | _ -> Alcotest.fail "trace_events must be a list"
+
 let suite =
   [
     Tu.qcheck_case ~count:12 "soak survives random kill schedules" gen soak_prop;
@@ -97,4 +152,6 @@ let suite =
     Alcotest.test_case "soak on the cached backend" `Quick test_cached_backend_soak;
     Alcotest.test_case "crash log accounting" `Quick test_crash_log_accounting;
     Alcotest.test_case "spread_crashes shape" `Quick test_spread_crashes;
+    Alcotest.test_case "kill post-mortem carries trace events" `Quick
+      test_kill_postmortem_trace;
   ]
